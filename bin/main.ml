@@ -856,10 +856,6 @@ let serve_cmd =
                this the server fast-rejects instead of queueing." in
     Arg.(value & opt int 64 & info [ "max-inflight" ] ~docv:"N" ~doc)
   in
-  let pool_size_arg =
-    let doc = "Pooled engine handles (compiled indexes) per instance." in
-    Arg.(value & opt int 4 & info [ "pool-size" ] ~docv:"N" ~doc)
-  in
   let plan_cache_arg =
     let doc = "Prepared-plan cache capacity (LRU beyond it)." in
     Arg.(value & opt int 128 & info [ "plan-cache" ] ~docv:"N" ~doc)
@@ -939,7 +935,7 @@ let serve_cmd =
       value & opt float 0.05 & info [ "shed-retry-after" ] ~docv:"SECS" ~doc)
   in
   let run socket port host inline file iname max_sessions max_inflight
-      pool_size plan_cache batch quota strategy telemetry read_timeout
+      plan_cache batch quota strategy telemetry read_timeout
       idle_timeout reap_after max_frame dedup_window dedup_max_bytes
       shed_queue shed_retry_after backend domains trace profile =
     wrap (fun () ->
@@ -967,7 +963,6 @@ let serve_cmd =
                 Serve.Server.default_config with
                 max_sessions;
                 max_inflight;
-                handle_pool = pool_size;
                 plan_cache;
                 batch;
                 quota;
@@ -1025,14 +1020,14 @@ let serve_cmd =
                 Fmt.pr "stopped@.")))
   in
   let doc =
-    "Serve conjunctive queries over a socket: prepared plans, pooled engine \
-     handles, admission control and per-client quotas."
+    "Serve conjunctive queries over a socket: prepared plans, admission \
+     control and per-client quotas."
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run $ socket_arg $ port_arg $ host_arg $ instance_arg
       $ instance_file_arg $ iname_arg $ max_sessions_arg $ max_inflight_arg
-      $ pool_size_arg $ plan_cache_arg $ batch_arg $ quota_arg
+      $ plan_cache_arg $ batch_arg $ quota_arg
       $ plan_strategy_arg $ telemetry_arg $ read_timeout_arg
       $ idle_timeout_arg $ reap_after_arg $ max_frame_arg $ dedup_window_arg
       $ dedup_max_bytes_arg $ shed_queue_arg $ shed_retry_after_arg
@@ -1119,16 +1114,12 @@ let client_cmd =
                 s.pool_workers;
               Fmt.pr "plan cache: %d plans, %d hits, %d misses@."
                 s.plan_cache_size s.plan_cache_hits s.plan_cache_misses;
-              List.iter
-                (fun (name, in_use, idle) ->
-                  Fmt.pr "handles[%s]: %d in use, %d idle@." name in_use idle)
-                s.handle_pools;
               Fmt.pr "served: %d (%d rejected, %d throttled)@."
                 s.requests_served s.rejected s.throttled;
-              if s.uptime_s > 0.0 then Fmt.pr "uptime: %.1fs@." s.uptime_s))
+              Fmt.pr "uptime: %.1fs@." s.uptime_s))
     in
     Cmd.v
-      (Cmd.info "stats" ~doc:"Print the server's counters and pool state.")
+      (Cmd.info "stats" ~doc:"Print the server's counters.")
       Term.(const run $ socket_arg $ port_arg $ host_arg $ timeout_arg $ retries_arg)
   in
   let prepare =
@@ -1364,47 +1355,6 @@ let top_find samples name =
 
 let top_value samples name = Option.value ~default:0.0 (top_find samples name)
 
-(* The cumulative buckets of histogram [name], sorted by upper bound. *)
-let top_buckets samples name =
-  let bucket = name ^ "_bucket" in
-  List.filter_map
-    (fun (n, labels, v) ->
-      if String.equal n bucket then
-        Option.map
-          (fun le ->
-            ((if le = "+Inf" then infinity else float_of_string le), v))
-          (List.assoc_opt "le" labels)
-      else None)
-    samples
-  |> List.sort compare
-
-(* histogram_quantile over the window: subtract the older scrape's
-   cumulative buckets, then rank-interpolate. NaN when the window saw
-   no observations. *)
-let top_quantile ~newer ~older name q =
-  let ob = top_buckets older name in
-  let d =
-    List.map
-      (fun (le, v) ->
-        (le, v -. Option.value ~default:0.0 (List.assoc_opt le ob)))
-      (top_buckets newer name)
-  in
-  match List.rev d with
-  | [] -> nan
-  | (_, total) :: _ when total <= 0.0 -> nan
-  | (_, total) :: _ ->
-    let rank = q *. total in
-    let rec walk lo lo_cum = function
-      | [] -> nan
-      | (le, cum) :: rest ->
-        if cum >= rank && cum > 0.0 then
-          if le = infinity then lo
-          else if cum <= lo_cum then le
-          else lo +. ((le -. lo) *. ((rank -. lo_cum) /. (cum -. lo_cum)))
-        else walk le cum rest
-    in
-    walk 0.0 0.0 d
-
 let top_cmd =
   let interval_arg =
     let doc = "Seconds between refreshes." in
@@ -1419,7 +1369,7 @@ let top_cmd =
     let rate name =
       (top_value newer name -. top_value older name) /. dt
     in
-    let q name p = top_quantile ~newer ~older name p in
+    let q name p = Obs.Export.window_quantile ~newer ~older name p in
     let pq v = if Float.is_nan v then "-" else Fmt.str "%.0f" v in
     Fmt.pr "lamp top — uptime %.0fs, %d sessions, %d active, %d in-flight@."
       s.uptime_s s.sessions s.active_requests s.executor_in_flight;
@@ -1428,11 +1378,10 @@ let top_cmd =
       (rate "lamp_serve_rejected_total")
       (rate "lamp_serve_throttled_total");
     let lookups = s.plan_cache_hits + s.plan_cache_misses in
-    Fmt.pr "  plans    %8d   cache hit rate %s   pool in use %.0f@."
+    Fmt.pr "  plans    %8d   cache hit rate %s@."
       s.plan_cache_size
       (if lookups = 0 then "-"
-       else Fmt.str "%5.1f%%" (100.0 *. float_of_int s.plan_cache_hits /. float_of_int lookups))
-      (top_value newer "lamp_serve_pool_in_use");
+       else Fmt.str "%5.1f%%" (100.0 *. float_of_int s.plan_cache_hits /. float_of_int lookups));
     let h name label =
       Fmt.pr "  %s  p50 %6sµs  p95 %6sµs  p99 %6sµs@." label
         (pq (q name 0.5)) (pq (q name 0.95)) (pq (q name 0.99))

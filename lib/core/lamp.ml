@@ -125,7 +125,6 @@ end
 
 module Serve = struct
   module Wire = Lamp_serve.Wire
-  module Rpool = Lamp_serve.Rpool
   module Quota = Lamp_serve.Quota
   module Cache = Lamp_serve.Cache
   module Dedup = Lamp_serve.Dedup

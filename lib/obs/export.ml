@@ -443,6 +443,48 @@ let parse_openmetrics text =
   in
   String.split_on_char '\n' text |> List.filter_map parse_line
 
+(* The cumulative buckets of histogram [name], sorted by upper bound. *)
+let buckets samples name =
+  let bucket = name ^ "_bucket" in
+  List.filter_map
+    (fun (n, labels, v) ->
+      if String.equal n bucket then
+        Option.map
+          (fun le ->
+            ((if le = "+Inf" then infinity else float_of_string le), v))
+          (List.assoc_opt "le" labels)
+      else None)
+    samples
+  |> List.sort compare
+
+(* Only non-empty buckets are exported, so a bound the newer scrape has
+   may be missing from the older one: the older cumulative count there
+   is the one at its largest bound below. *)
+let window_buckets ~newer ~older name =
+  let ob = buckets older name in
+  let cum_at le =
+    List.fold_left (fun acc (b, v) -> if b <= le then v else acc) 0.0 ob
+  in
+  List.map (fun (le, v) -> (le, v -. cum_at le)) (buckets newer name)
+
+let window_quantile ~newer ~older name q =
+  let d = window_buckets ~newer ~older name in
+  match List.rev d with
+  | [] -> nan
+  | (_, total) :: _ when total <= 0.0 -> nan
+  | (_, total) :: _ ->
+    let rank = q *. total in
+    let rec walk lo lo_cum = function
+      | [] -> nan
+      | (le, cum) :: rest ->
+        if cum >= rank && cum > 0.0 then
+          if le = infinity then lo
+          else if cum <= lo_cum then le
+          else lo +. ((le -. lo) *. ((rank -. lo_cum) /. (cum -. lo_cum)))
+        else walk le cum rest
+    in
+    walk 0.0 0.0 d
+
 (* ------------------------------------------------------------------ *)
 (* Metrics JSON (bench results file)                                   *)
 

@@ -42,6 +42,28 @@ val parse_openmetrics :
     comments skipped, malformed lines dropped. Enough to read
     {!openmetrics} output (it's what [lamp top] runs on each poll). *)
 
+val window_buckets :
+  newer:(string * (string * string) list * float) list ->
+  older:(string * (string * string) list * float) list ->
+  string ->
+  (float * float) list
+(** The cumulative buckets of histogram [name] (an exposition name such
+    as ["lamp_serve_request_us"]) over the window between two parsed
+    scrapes: [(le, count)] sorted by bound, [+Inf] as [infinity]. The
+    older scrape's count at a bound it did not export is its count at
+    the largest bound below, so the counts never decrease and the last
+    is the window's [_count]. *)
+
+val window_quantile :
+  newer:(string * (string * string) list * float) list ->
+  older:(string * (string * string) list * float) list ->
+  string ->
+  float ->
+  float
+(** [histogram_quantile] over {!window_buckets}: rank-interpolated
+    within the bucket holding quantile [q]. NaN when the window saw no
+    observations. *)
+
 val om_name : string -> string
 (** The exposition name for a registry name: [om_name "serve.qps"] =
     ["lamp_serve_qps"]. *)

@@ -9,7 +9,7 @@
 
     Thread-safe. {!find_or_add} runs the builder under the cache lock:
     two sessions racing on the same fresh fingerprint compile once, and
-    the compile itself is cheap relative to a pooled checkout. *)
+    the compile itself is cheap relative to an engine-handle build. *)
 
 type 'a t
 

@@ -3,14 +3,10 @@ module Instance = Lamp_relational.Instance
 type t = {
   fd : Unix.file_descr;
   mutable closed : bool;
-  (* Negotiated protocol version; starts optimistic at our own and is
-     settled by {!hello} (both peers default to the same version, so a
-     session that skips hello still agrees with a same-build server). *)
-  mutable version : int;
   (* Per-request deadline budget, set at connect time. *)
   timeout_s : float option;
   (* This connection's trace id and the next span id under it; carried
-     by the [Traced] envelope on every v2 work request so server-side
+     by the [Traced] envelope on every work request so server-side
      spans link back to the caller. *)
   trace : int;
   mutable next_span : int;
@@ -71,7 +67,6 @@ let connect ?timeout_s fd addr =
     {
       fd;
       closed = false;
-      version = Wire.protocol_version;
       timeout_s;
       trace = fresh_trace ();
       next_span = 0;
@@ -119,39 +114,30 @@ let roundtrip t req =
   check_open t;
   let dl = deadline t in
   io t "request" (fun () -> Wire.write_request ?deadline:dl t.fd req);
-  match
-    io t "response" (fun () ->
-        Wire.read_response ~version:t.version ?deadline:dl t.fd)
-  with
+  match io t "response" (fun () -> Wire.read_response ?deadline:dl t.fd) with
   | Error { code; message } -> raise (Server_error (code, message))
   | resp -> resp
 
-(* Wrap a work request in the trace envelope on a v2 session. Scrape
-   ops ({!metrics}, {!trace_dump}) stay unwrapped: the scraper should
-   read the trace, not add to it. *)
+(* Wrap a work request in the trace envelope. Scrape ops ({!metrics},
+   {!trace_dump}) stay unwrapped: the scraper should read the trace,
+   not add to it. *)
 let traced t req =
-  if t.version >= 2 then begin
-    let span = t.next_span in
-    t.next_span <- span + 1;
-    Wire.Traced { trace = t.trace; span; req }
-  end
-  else req
+  let span = t.next_span in
+  t.next_span <- span + 1;
+  Wire.Traced { trace = t.trace; span; req }
 
-(* The idempotency envelope, inside [Traced]: v3 sessions only (an old
-   server would reject the unknown tag, so the key is silently dropped
-   on a downgraded session — re-execution semantics, as before v3). *)
-let keyed t ?key req =
+(* The idempotency envelope, inside [Traced]. *)
+let keyed ?key req =
   match key with
-  | Some k when t.version >= 3 -> Wire.Keyed { key = k; req }
-  | _ -> req
+  | Some key -> Wire.Keyed { key; req }
+  | None -> req
 
-let hello ?(client = "anon") ?(version = Wire.protocol_version) t =
-  match roundtrip t (Hello { client; version }) with
-  | Hello_ok { server; version = negotiated } ->
-    if negotiated > version || negotiated < 1 then
-      proto "server negotiated protocol %d, client offered %d" negotiated
-        version;
-    t.version <- negotiated;
+let hello ?(client = "anon") t =
+  match roundtrip t (Hello { client; version = Wire.protocol_version }) with
+  | Hello_ok { server; version } ->
+    if version <> Wire.protocol_version then
+      proto "server speaks protocol %d, client %d" version
+        Wire.protocol_version;
     server
   | _ -> proto "expected Hello_ok"
 
@@ -162,7 +148,7 @@ type prepared = {
 }
 
 let prepare ?key t ~instance ~query =
-  match roundtrip t (traced t (keyed t ?key (Prepare { instance; query }))) with
+  match roundtrip t (traced t (keyed ?key (Prepare { instance; query }))) with
   | Prepared { id; cached; atoms } -> { id; cached; atoms }
   | _ -> proto "expected Prepared"
 
@@ -175,10 +161,9 @@ let execute ?key t ~instance ?(mode = Wire.Local) plan =
   let dl = deadline t in
   io t "request" (fun () ->
       Wire.write_request ?deadline:dl t.fd
-        (traced t (keyed t ?key (Execute { instance; plan; mode }))));
+        (traced t (keyed ?key (Execute { instance; plan; mode }))));
   let read () =
-    io t "response" (fun () ->
-        Wire.read_response ~version:t.version ?deadline:dl t.fd)
+    io t "response" (fun () -> Wire.read_response ?deadline:dl t.fd)
   in
   let rec collect acc = function
     | Wire.Batch facts -> collect (List.rev_append facts acc) (read ())
@@ -193,7 +178,7 @@ let execute ?key t ~instance ?(mode = Wire.Local) plan =
   collect [] (read ())
 
 let ingest ?key t ~instance facts =
-  match roundtrip t (traced t (keyed t ?key (Ingest { instance; facts }))) with
+  match roundtrip t (traced t (keyed ?key (Ingest { instance; facts }))) with
   | Ingested { added } -> added
   | _ -> proto "expected Ingested"
 
@@ -217,5 +202,4 @@ let trace_dump ?(limit = 256) t =
   | Trace_reply spans -> spans
   | _ -> proto "expected Trace_reply"
 
-let version t = t.version
 let trace_id t = t.trace

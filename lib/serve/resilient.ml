@@ -23,7 +23,6 @@ type t = {
   config : config;
   connect : unit -> Client.t;
   client_name : string;
-  hello_version : int option;
   mutex : Mutex.t;
   (* The live session, re-established lazily after a fatal failure. *)
   mutable conn : Client.t option;
@@ -34,14 +33,11 @@ type t = {
      different key range instead of replaying the old process's dedup
      entries. *)
   mutable next_key : int;
-  (* Negotiated protocol version of the current (or most recent)
-     session, once a hello has succeeded. *)
-  mutable session_version : int option;
   retries : int Atomic.t;
 }
 
-let create ?(config = default_config) ?(client = "resilient")
-    ?hello_version ?key_nonce connect =
+let create ?(config = default_config) ?(client = "resilient") ?key_nonce
+    connect =
   if config.max_attempts < 1 then
     invalid_arg "Resilient.create: max_attempts must be >= 1";
   if config.base_delay_s < 0.0 || config.max_delay_s < 0.0 then
@@ -63,11 +59,9 @@ let create ?(config = default_config) ?(client = "resilient")
     config;
     connect;
     client_name = client;
-    hello_version;
     mutex = Mutex.create ();
     conn = None;
     next_key = nonce lsl 32;
-    session_version = None;
     retries = Atomic.make 0;
   }
 
@@ -88,16 +82,11 @@ let session t =
   | _ ->
     (match t.conn with Some c -> Client.close c | None -> ());
     let c = t.connect () in
-    (match
-       match t.hello_version with
-       | Some version -> Client.hello ~client:t.client_name ~version c
-       | None -> Client.hello ~client:t.client_name c
-     with
+    (match Client.hello ~client:t.client_name c with
     | (_ : string) -> ()
     | exception e ->
       Client.close c;
       raise e);
-    t.session_version <- Some (Client.version c);
     t.conn <- Some c;
     c
 
@@ -114,27 +103,19 @@ let fresh_key t =
    A failure is worth another attempt when the transport broke, when
    the server asked us to back off ([Overloaded]), or when it could
    not even decode our frame ([Corrupt_frame] — the op never ran).
-   Rejected (quota) errors are retryable only by configuration.
-   For a transport failure after the op may have reached the server,
-   [exactly_once] demands the session's idempotency key made the
-   re-execution safe: on a session negotiated below protocol 3 the
-   key was silently dropped, so retrying there could double-apply —
-   the failure propagates instead of degrading to at-least-once. *)
-let run ?(exactly_once = false) t f =
+   Rejected (quota) errors are retryable only by configuration. A lost
+   connection is always retryable: every engine op carries its
+   idempotency key, so the server replays instead of re-applying. *)
+let run t f =
   Mutex.protect t.mutex (fun () ->
       let delay =
         Executor.exponential_backoff ~base:t.config.base_delay_s
           ~max_delay:t.config.max_delay_s ~seed:t.config.seed ()
       in
-      let sent = ref false in
       let retryable = function
-        | Client.Connection_lost _ | Client.Timed_out _ ->
-          (not exactly_once)
-          || (not !sent)
-          || (match t.session_version with
-             | Some v -> v >= 3
-             | None -> false)
-        | Client.Server_error ((Overloaded _ | Corrupt_frame), _) -> true
+        | Client.Connection_lost _ | Client.Timed_out _
+        | Client.Server_error ((Overloaded _ | Corrupt_frame), _) ->
+          true
         | Client.Server_error (Rejected, _) -> t.config.retry_rejected
         | _ -> false
       in
@@ -142,13 +123,7 @@ let run ?(exactly_once = false) t f =
         ?budget:t.config.budget_s ~hint
         ~backoff:(fun _ -> Atomic.incr t.retries)
         ~retryable
-        (fun ~attempt:_ ->
-          sent := false;
-          let c = session t in
-          (* Past this point the request may reach the wire: a
-             transport failure no longer proves the op did not run. *)
-          sent := true;
-          f c))
+        (fun ~attempt:_ -> f (session t)))
 
 let prepare t ~instance ~query =
   let key = fresh_key t in
@@ -160,9 +135,7 @@ let execute t ~instance ?mode plan =
 
 let ingest t ~instance facts =
   let key = fresh_key t in
-  (* The one non-idempotent op: prepare and execute re-run to the same
-     observable state, an unkeyed ingest does not. *)
-  run ~exactly_once:true t (fun c -> Client.ingest ~key c ~instance facts)
+  run t (fun c -> Client.ingest ~key c ~instance facts)
 
 let stats t = run t Client.stats
 let health t = run t Client.health

@@ -24,15 +24,6 @@
     a digest of the request, so even a colliding key yields a typed
     error, never another operation's response.
 
-    The exactly-once contract needs the wire to carry the key, which
-    protocol version 3 introduced. On a session negotiated below v3
-    the key cannot be sent, so {!ingest} — the one non-idempotent op —
-    {e refuses to retry} a transport failure that may have already
-    applied: the original {!Client.Connection_lost}/{!Client.Timed_out}
-    propagates rather than silently degrading to at-least-once.
-    Idempotent ops (and failures proven to precede the send, e.g. a
-    failed reconnect) retry as usual.
-
     All failure handling is deterministic given the seed: the backoff
     schedule is a pure function of [(seed, attempt)], and no attempt
     ever sleeps less than the server's [retry_after_s] hint.
@@ -65,7 +56,6 @@ type t
 val create :
   ?config:config ->
   ?client:string ->
-  ?hello_version:int ->
   ?key_nonce:int ->
   (unit -> Client.t) ->
   t
@@ -73,11 +63,10 @@ val create :
     first operation. [client] (default ["resilient"]) is the stable
     session name sent in {!Client.hello} on every (re)connect — it is
     the server's dedup-window key, so two wrappers sharing a name also
-    share a replay window. [hello_version] lets tests pin an older
-    protocol. [key_nonce] (masked to 30 bits) pins the idempotency-key
-    range; by default it is drawn from time-and-pid entropy so
-    restarted wrappers do not reuse keys — pass it explicitly when a
-    test needs reproducible keys.
+    share a replay window. [key_nonce] (masked to 30 bits) pins the
+    idempotency-key range; by default it is drawn from time-and-pid
+    entropy so restarted wrappers do not reuse keys — pass it
+    explicitly when a test needs reproducible keys.
     @raise Invalid_argument on a non-positive [max_attempts] or a
     negative delay. *)
 
@@ -92,10 +81,7 @@ val execute :
 
 val ingest : t -> instance:string -> Lamp_relational.Fact.t list -> int
 (** Keyed, retried variants of the {!Client} operations: identical
-    results, at-most-once server-side effects per logical call. On a
-    pre-v3 session (no key on the wire), [ingest] does not retry a
-    transport failure that may have reached the server — the typed
-    error propagates (see the module preamble). *)
+    results, at-most-once server-side effects per logical call. *)
 
 val stats : t -> Wire.server_stats
 val health : t -> bool

@@ -15,7 +15,6 @@ type config = {
   name : string;
   max_sessions : int;
   max_inflight : int;
-  handle_pool : int;
   plan_cache : int;
   batch : int;
   quota : (float * float) option;
@@ -36,7 +35,6 @@ let default_config =
     name = "lamp";
     max_sessions = 1024;
     max_inflight = 64;
-    handle_pool = 4;
     plan_cache = 128;
     batch = 512;
     quota = None;
@@ -52,19 +50,14 @@ let default_config =
     shed_retry_after_s = 0.05;
   }
 
-(* An engine handle: the interned-tuple view of an instance plus its
-   lazily built column indexes. Building one replays the whole
-   instance through the interner, so handles are pooled and reused;
-   [built_version] retires them after an ingest. *)
-type handle = {
-  db : Plan.Db.t;
-  built_version : int;
-}
-
+(* [handle] is the engine handle: the interned-tuple view of [data]
+   plus its lazily built column indexes. Building one replays the whole
+   instance through the interner, so it is kept across requests and
+   dropped when [data] changes. Both fields change only under the
+   engine lock. *)
 type inst = {
   mutable data : Instance.t;
-  mutable version : int;
-  handles : handle Rpool.t;
+  mutable handle : Plan.Db.t option;
 }
 
 (* A prepared plan, compiled for whichever backend the server was
@@ -93,8 +86,8 @@ type t = {
      thread-safe. Sessions overlap on socket I/O, not on evaluation. *)
   engine : Mutex.t;
   (* Protects the registries and session bookkeeping below. Leaf locks
-     (Rpool, Cache, Quota) may be taken under [engine] but never the
-     other way round. *)
+     (Cache, Quota) may be taken under [engine] but never the other
+     way round. *)
   lock : Mutex.t;
   session_exit : Condition.t;
   instances : (string, inst) Hashtbl.t;
@@ -169,12 +162,6 @@ let register_gauges t =
       float_of_int (Executor.in_flight t.executor));
   Metrics.register_callback "serve.plan_cache_size" (fun () ->
       float_of_int (Cache.length t.plan_cache));
-  Metrics.register_callback "serve.pool_in_use" (fun () ->
-      float_of_int
-        (Mutex.protect t.lock (fun () ->
-             Hashtbl.fold
-               (fun _ i acc -> acc + Rpool.in_use i.handles)
-               t.instances 0)));
   Metrics.register_callback "serve.uptime_s" (fun () ->
       Unix.gettimeofday () -. t.started);
   Metrics.register_callback "serve.shedding" (fun () ->
@@ -265,26 +252,13 @@ let create ?(config = default_config) ~executor () =
   t
 
 let add_instance t ~name data =
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.instances name with
-      | Some inst ->
-        inst.data <- data;
-        inst.version <- inst.version + 1
-      | None ->
-        (* The pool's callbacks need the instance record they live in;
-           tie the knot through a cell. *)
-        let cell = ref None in
-        let get () = Option.get !cell in
-        let handles =
-          Rpool.create ~max_size:t.config.handle_pool
-            ~validate:(fun h -> h.built_version = (get ()).version)
-            (fun () ->
-              let i = get () in
-              { db = Plan.Db.of_instance i.data; built_version = i.version })
-        in
-        let inst = { data; version = 0; handles } in
-        cell := Some inst;
-        Hashtbl.replace t.instances name inst)
+  Mutex.protect t.engine (fun () ->
+      Mutex.protect t.lock (fun () ->
+          match Hashtbl.find_opt t.instances name with
+          | Some inst ->
+            inst.data <- data;
+            inst.handle <- None
+          | None -> Hashtbl.replace t.instances name { data; handle = None }))
 
 let instance t name =
   Mutex.protect t.lock (fun () ->
@@ -354,16 +328,34 @@ let fingerprint ~instance ast = instance ^ "\000" ^ Fmt.str "%a" Ast.pp ast
 let parse_query q =
   try Parser.query q with Parser.Parse_error m -> bad "parse error: %s" m
 
-(* Compile under the engine lock, against a pooled handle's counts
+(* Runs [f] on the instance's engine handle, building it first if there
+   is none. Call under the engine lock. If [f] raises, the handle's
+   state is unknown, so it is dropped and rebuilt on next use. *)
+let with_handle inst f =
+  let db =
+    match inst.handle with
+    | Some db -> db
+    | None ->
+      let db = Plan.Db.of_instance inst.data in
+      inst.handle <- Some db;
+      db
+  in
+  match f db with
+  | v -> v
+  | exception e ->
+    inst.handle <- None;
+    raise e
+
+(* Compile under the engine lock, against the handle's counts
    (join-order estimates only — the result set is order-independent). *)
 let prepare_plan t inst ~instance ast =
   let key = fingerprint ~instance ast in
   Cache.find_or_add t.plan_cache key (fun () ->
       let plan =
-        Rpool.use inst.handles (fun h ->
+        with_handle inst (fun db ->
             match t.config.strategy with
-            | Eval.Binary -> Pbinary (Plan.make ~counts:(Plan.Db.count h.db) ast)
-            | Eval.Wcoj -> Pwcoj (Wcoj.make ~counts:(Plan.Db.count h.db) ast))
+            | Eval.Binary -> Pbinary (Plan.make ~counts:(Plan.Db.count db) ast)
+            | Eval.Wcoj -> Pwcoj (Wcoj.make ~counts:(Plan.Db.count db) ast))
       in
       let id =
         Mutex.protect t.lock (fun () ->
@@ -390,17 +382,17 @@ let resolve_plan t inst ~instance = function
 (* Mirrors Cq.Eval.eval_idx: fold the compiled plan, then build the
    result instance from the head-tuple set — byte-for-byte the library
    result, whichever backend the plan was compiled for. *)
-let eval_local entry (h : handle) =
+let eval_local entry db =
   let rel, tuples =
     match entry.pe_plan with
     | Pbinary plan ->
       ( Plan.head_rel plan,
-        Plan.fold plan h.db
+        Plan.fold plan db
           (fun regs acc -> Plan.head_tuple plan regs :: acc)
           [] )
     | Pwcoj plan ->
       ( Wcoj.head_rel plan,
-        Wcoj.fold plan h.db
+        Wcoj.fold plan db
           (fun regs acc -> Wcoj.head_tuple plan regs :: acc)
           [] )
   in
@@ -416,7 +408,7 @@ let execute t ~instance plan_ref mode =
       match mode with
       | Wire.Local ->
         let entry = resolve_plan t inst ~instance plan_ref in
-        let result = Rpool.use inst.handles (eval_local entry) in
+        let result = with_handle inst (eval_local entry) in
         (result, None)
       | Wire.Hypercube { p } ->
         if p < 1 then bad "hypercube: p must be >= 1";
@@ -444,10 +436,10 @@ let ingest t ~instance facts =
   with_engine t (fun () ->
       let before = Instance.cardinal inst.data in
       inst.data <- Instance.union inst.data (Instance.of_facts facts);
-      inst.version <- inst.version + 1;
-      (* Handles built on the old contents fail validation at their
-         next checkout; plans compiled with stale counts are dropped so
-         re-preparation sees fresh cardinalities. *)
+      (* Freed now, so the stale handle never lives beside its rebuild;
+         plans compiled with stale counts are dropped so re-preparation
+         sees fresh cardinalities. *)
+      inst.handle <- None;
       let prefix = instance ^ "\000" in
       ignore
         (Cache.remove_if t.plan_cache (fun k ->
@@ -456,14 +448,6 @@ let ingest t ~instance facts =
       Instance.cardinal inst.data - before)
 
 let stats t =
-  let handle_pools =
-    Mutex.protect t.lock (fun () ->
-        Hashtbl.fold
-          (fun name i acc ->
-            (name, Rpool.in_use i.handles, Rpool.idle i.handles) :: acc)
-          t.instances [])
-    |> List.sort compare
-  in
   {
     Wire.sessions = Mutex.protect t.lock (fun () -> t.session_count);
     active_requests = Atomic.get t.active;
@@ -472,7 +456,6 @@ let stats t =
     plan_cache_size = Cache.length t.plan_cache;
     plan_cache_hits = Cache.hits t.plan_cache;
     plan_cache_misses = Cache.misses t.plan_cache;
-    handle_pools;
     requests_served = Atomic.get t.served;
     rejected = Atomic.get t.rejected;
     throttled = Atomic.get t.throttled;
@@ -532,13 +515,11 @@ let span_info_of_event : Trace.event -> Wire.span_info option = function
     Some { Wire.sp_name = name; sp_cat = cat; sp_tid = tid; sp_t = t; sp_dur = dur }
   | Trace.Instant _ | Trace.Sample _ -> None
 
-(* [version] is the session's negotiated protocol version; every
-   response on the session is encoded with it, so a v1 client gets
-   v1-layout replies. Responses carry the write deadline: a peer that
-   stops draining its socket times the session out instead of pinning
-   it forever. Inside a [Keyed] execution every reply is also recorded
-   for the dedup window. *)
-let handle_request t fd version client req =
+(* Responses carry the write deadline: a peer that stops draining its
+   socket times the session out instead of pinning it forever. Inside a
+   [Keyed] execution every reply is also recorded for the dedup
+   window. *)
+let handle_request t fd client req =
   Trace.incr requests_c;
   let t0 = Unix.gettimeofday () in
   let recording = ref None in
@@ -552,7 +533,7 @@ let handle_request t fd version client req =
          dropped and the keyed wrapper aborts instead of committing:
          a retry of a huge result re-executes rather than replaying. *)
       bytes :=
-        !bytes + String.length (Wire.response_to_string ~version:!version resp);
+        !bytes + String.length (Wire.response_to_string resp);
       if !bytes > t.config.dedup_max_bytes then begin
         recording := None;
         oversized := true
@@ -564,30 +545,17 @@ let handle_request t fd version client req =
         (fun s -> Unix.gettimeofday () +. s)
         t.config.write_timeout_s
     in
-    Wire.write_response ~version:!version ?deadline fd resp
+    Wire.write_response ?deadline fd resp
   in
   (try
      let rec go (req : Wire.request) =
        match req with
-       | Hello { client = name; version = v } ->
-         if v < Wire.min_protocol_version then
-           reply
-             (Error
-                {
-                  code = Bad_request;
-                  message =
-                    Printf.sprintf
-                      "protocol version %d, server speaks %d..%d" v
-                      Wire.min_protocol_version Wire.protocol_version;
-                })
-         else begin
-           client := name;
-           (* Speak the older of the two dialects for the rest of the
-              session; the client learns the choice from the reply. *)
-           version := min v Wire.protocol_version;
-           reply
-             (Hello_ok { server = t.config.name; version = !version })
-         end
+       | Hello { client = name; version } ->
+         if version <> Wire.protocol_version then
+           bad "protocol version %d, server speaks %d" version
+             Wire.protocol_version;
+         client := name;
+         reply (Hello_ok { server = t.config.name; version })
        | Health -> reply Healthy
        | Stats -> reply (Stats_reply (stats t))
        | Metrics -> reply (Metrics_reply (Export.openmetrics ()))
@@ -700,8 +668,6 @@ let handle_request t fd version client req =
      go req
    with
   | Reply (code, message) -> reply (Error { code; message })
-  | Rpool.Draining ->
-    reply (Error { code = Rejected; message = "server shutting down" })
   | Wire.Closed as e -> raise e
   | Wire.Timed_out as e -> raise e
   | e -> reply (Error { code = Failed; message = Printexc.to_string e }));
@@ -747,16 +713,13 @@ let session t fd =
         with _ -> ()
       else begin
         let client = ref "anon" in
-        let version = ref Wire.protocol_version in
         let rdeadline () =
           Option.map
             (fun s -> Unix.gettimeofday () +. s)
             t.config.read_timeout_s
         in
         let hangup_with code message =
-          try
-            Wire.write_response ~version:!version fd (Error { code; message })
-          with _ -> ()
+          try Wire.write_response fd (Error { code; message }) with _ -> ()
         in
         let rec loop () =
           (* Two timers guard the read: the idle timeout bounds the
@@ -773,7 +736,7 @@ let session t fd =
                 ?deadline:(rdeadline ()) fd
             with
             | req ->
-              handle_request t fd version client req;
+              handle_request t fd client req;
               last := Unix.gettimeofday ();
               loop ()
             | exception Wire.Closed -> ()
@@ -892,13 +855,8 @@ let stop t =
   let acceptors = t.acceptors in
   t.acceptors <- [];
   List.iter Thread.join acceptors;
-  (match t.reaper with
+  match t.reaper with
   | Some th ->
     t.reaper <- None;
     Thread.join th
-  | None -> ());
-  let pools =
-    Mutex.protect t.lock (fun () ->
-        Hashtbl.fold (fun _ i acc -> i.handles :: acc) t.instances [])
-  in
-  List.iter Rpool.drain pools
+  | None -> ()

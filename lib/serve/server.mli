@@ -10,10 +10,10 @@
     time a request spends waiting on the engine lock is recorded in the
     ["serve.queue_wait_us"] histogram.
 
-    Resources are governed as a database server would: per-instance
-    {!Rpool}s of engine handles (an interned DB with its lazily built
-    indexes) reused across requests and retired when an ingest bumps
-    the instance version; a {!Cache} of compiled plans keyed by
+    Resources are governed as a database server would: one engine
+    handle per instance (an interned DB with its lazily built indexes),
+    built on first use, reused across requests and dropped when an
+    ingest changes the instance; a {!Cache} of compiled plans keyed by
     (instance, canonical query) shared by all sessions; admission
     control fast-rejecting work past [max_inflight]; and per-client
     token-bucket {!Quota}s.
@@ -28,7 +28,6 @@ type config = {
   max_inflight : int;
       (** Requests past admission at once; excess gets [Error
           Rejected] immediately (fast-reject, no queueing). *)
-  handle_pool : int;  (** Max pooled engine handles per instance. *)
   plan_cache : int;  (** Plan cache capacity. *)
   batch : int;  (** Facts per [Batch] frame when streaming results. *)
   quota : (float * float) option;
@@ -88,7 +87,7 @@ type config = {
 
 val default_config : config
 (** [{ name = "lamp"; max_sessions = 1024; max_inflight = 64;
-      handle_pool = 4; plan_cache = 128; batch = 512; quota = None;
+      plan_cache = 128; batch = 512; quota = None;
       strategy = Binary; max_frame = Wire.max_frame;
       read_timeout_s = Some 30.0; write_timeout_s = Some 30.0;
       idle_timeout_s = None; reap_after_s = None; dedup_window = 1024;
@@ -101,8 +100,9 @@ val create : ?config:config -> executor:Lamp_runtime.Executor.t -> unit -> t
 (** The executor runs MPC simulations and must outlive the server. *)
 
 val add_instance : t -> name:string -> Lamp_relational.Instance.t -> unit
-(** Registers (or replaces) a served instance. Replacing bumps the
-    version, retiring pooled handles and cached plans. *)
+(** Registers (or replaces) a served instance. Replacing drops its
+    engine handle; plans cached for the old contents stay valid, since
+    results do not depend on join order. *)
 
 val instance : t -> string -> Lamp_relational.Instance.t option
 (** Current contents of a served instance (ingests included). *)
@@ -118,7 +118,7 @@ val listen_tcp : ?host:string -> t -> port:int -> int
 val stats : t -> Wire.server_stats
 
 val stop : t -> unit
-(** Closes listeners, shuts down live sessions, waits for session
-    threads to exit, then drains every handle pool — after [stop],
-    every pool reports size 0 (the smoke test's leak check).
-    Idempotent. The executor is the caller's to dispose. *)
+(** Closes listeners, shuts down live sessions and waits for session
+    threads to exit — after [stop], {!stats} reports no session (the
+    smoke test's leak check). Idempotent. The executor is the caller's
+    to dispose. *)

@@ -1,17 +1,8 @@
 module Codec = Lamp_jobs.Codec
 module Stats = Lamp_mpc.Stats
 
-(* Version 3 (this revision) adds the [Keyed] idempotency envelope,
-   the [Overloaded]/[Corrupt_frame] error codes and the dedup/shed/reap
-   counters in [server_stats]; version 2 added wire-level trace
-   propagation (the [Traced] request envelope), the live-telemetry ops
-   ([Metrics], [Trace_dump]) and an uptime field in [server_stats].
-   Old clients keep working: the server negotiates [min client server]
-   at hello time and encodes that session's responses in the negotiated
-   layout ([?version] on the response codecs), downgrading the v3 error
-   codes to their closest older equivalent. *)
+(* The only wire format. A hello at any other version is refused. *)
 let protocol_version = 3
-let min_protocol_version = 1
 let max_frame = 256 * 1024 * 1024
 
 type mode =
@@ -52,7 +43,6 @@ type server_stats = {
   plan_cache_size : int;
   plan_cache_hits : int;
   plan_cache_misses : int;
-  handle_pools : (string * int * int) list;
   requests_served : int;
   rejected : int;
   throttled : int;
@@ -192,21 +182,15 @@ let rec r_request r =
     | req -> Keyed { key; req })
   | c -> raise (Codec.Corrupt (Printf.sprintf "bad request tag %C" c))
 
-(* The v3 error codes downgrade on old sessions to the closest code the
-   client can decode: Overloaded is a transient capacity refusal like
-   Throttled, a corrupt frame is a malformed request. *)
-let w_error_code ~version b = function
+let w_error_code b = function
   | Bad_request -> Codec.w_char b 'b'
   | Rejected -> Codec.w_char b 'j'
   | Throttled -> Codec.w_char b 't'
   | Failed -> Codec.w_char b 'f'
   | Overloaded { retry_after_s } ->
-    if version >= 3 then begin
-      Codec.w_char b 'o';
-      Codec.w_float b retry_after_s
-    end
-    else Codec.w_char b 't'
-  | Corrupt_frame -> if version >= 3 then Codec.w_char b 'c' else Codec.w_char b 'b'
+    Codec.w_char b 'o';
+    Codec.w_float b retry_after_s
+  | Corrupt_frame -> Codec.w_char b 'c'
 
 let r_error_code r =
   match Codec.r_char r with
@@ -231,22 +215,7 @@ let r_mpc_stats r : Stats.t =
   let recoveries = Codec.r_list r Stats.r_recovery in
   { p; initial_max; rounds; recoveries }
 
-let w_pool_row b (name, in_use, idle) =
-  Codec.w_string b name;
-  Codec.w_int b in_use;
-  Codec.w_int b idle
-
-let r_pool_row r =
-  let name = Codec.r_string r in
-  let in_use = Codec.r_int r in
-  (name, in_use, Codec.r_int r)
-
-(* [server_stats] is the one message whose layout changed across
-   protocol versions: v1 has no uptime field, v2 none of the
-   dedup/shed/reap counters. The codecs take the negotiated session
-   version so an old client still decodes what a newer server sends it
-   (and the tests can round-trip all layouts). *)
-let w_server_stats ~version b s =
+let w_server_stats b s =
   Codec.w_int b s.sessions;
   Codec.w_int b s.active_requests;
   Codec.w_int b s.executor_in_flight;
@@ -254,18 +223,15 @@ let w_server_stats ~version b s =
   Codec.w_int b s.plan_cache_size;
   Codec.w_int b s.plan_cache_hits;
   Codec.w_int b s.plan_cache_misses;
-  Codec.w_list b w_pool_row s.handle_pools;
   Codec.w_int b s.requests_served;
   Codec.w_int b s.rejected;
   Codec.w_int b s.throttled;
-  if version >= 2 then Codec.w_float b s.uptime_s;
-  if version >= 3 then begin
-    Codec.w_int b s.deduped;
-    Codec.w_int b s.shed;
-    Codec.w_int b s.reaped
-  end
+  Codec.w_float b s.uptime_s;
+  Codec.w_int b s.deduped;
+  Codec.w_int b s.shed;
+  Codec.w_int b s.reaped
 
-let r_server_stats ~version r =
+let r_server_stats r =
   let sessions = Codec.r_int r in
   let active_requests = Codec.r_int r in
   let executor_in_flight = Codec.r_int r in
@@ -273,14 +239,13 @@ let r_server_stats ~version r =
   let plan_cache_size = Codec.r_int r in
   let plan_cache_hits = Codec.r_int r in
   let plan_cache_misses = Codec.r_int r in
-  let handle_pools = Codec.r_list r r_pool_row in
   let requests_served = Codec.r_int r in
   let rejected = Codec.r_int r in
   let throttled = Codec.r_int r in
-  let uptime_s = if version >= 2 then Codec.r_float r else 0.0 in
-  let deduped = if version >= 3 then Codec.r_int r else 0 in
-  let shed = if version >= 3 then Codec.r_int r else 0 in
-  let reaped = if version >= 3 then Codec.r_int r else 0 in
+  let uptime_s = Codec.r_float r in
+  let deduped = Codec.r_int r in
+  let shed = Codec.r_int r in
+  let reaped = Codec.r_int r in
   {
     sessions;
     active_requests;
@@ -289,7 +254,6 @@ let r_server_stats ~version r =
     plan_cache_size;
     plan_cache_hits;
     plan_cache_misses;
-    handle_pools;
     requests_served;
     rejected;
     throttled;
@@ -314,11 +278,11 @@ let r_span_info r =
   let sp_dur = Codec.r_float r in
   { sp_name; sp_cat; sp_tid; sp_t; sp_dur }
 
-let w_response ~version b = function
-  | Hello_ok { server; version = v } ->
+let w_response b = function
+  | Hello_ok { server; version } ->
     Codec.w_char b 'H';
     Codec.w_string b server;
-    Codec.w_int b v
+    Codec.w_int b version
   | Prepared { id; cached; atoms } ->
     Codec.w_char b 'P';
     Codec.w_int b id;
@@ -336,11 +300,11 @@ let w_response ~version b = function
     Codec.w_int b added
   | Stats_reply s ->
     Codec.w_char b 'S';
-    w_server_stats ~version b s
+    w_server_stats b s
   | Healthy -> Codec.w_char b 'O'
   | Error { code; message } ->
     Codec.w_char b 'E';
-    w_error_code ~version b code;
+    w_error_code b code;
     Codec.w_string b message
   | Metrics_reply text ->
     Codec.w_char b 'M';
@@ -349,7 +313,7 @@ let w_response ~version b = function
     Codec.w_char b 'T';
     Codec.w_list b w_span_info spans
 
-let r_response ~version r =
+let r_response r =
   match Codec.r_char r with
   | 'H' ->
     let server = Codec.r_string r in
@@ -363,7 +327,7 @@ let r_response ~version r =
     let facts = Codec.r_int r in
     Done { facts; stats = Codec.r_option r r_mpc_stats }
   | 'G' -> Ingested { added = Codec.r_int r }
-  | 'S' -> Stats_reply (r_server_stats ~version r)
+  | 'S' -> Stats_reply (r_server_stats r)
   | 'O' -> Healthy
   | 'E' ->
     let code = r_error_code r in
@@ -386,11 +350,22 @@ let decode rd s =
 let request_to_string = encode w_request
 let request_of_string = decode r_request
 
-let response_to_string ?(version = protocol_version) resp =
-  encode (w_response ~version) resp
+(* [?version] only confirms the caller's session version: there is
+   one response layout. *)
+let check_version = function
+  | Some v when v <> protocol_version ->
+    invalid_arg
+      (Printf.sprintf "Wire: protocol version %d, only %d exists" v
+         protocol_version)
+  | _ -> ()
 
-let response_of_string ?(version = protocol_version) s =
-  decode (r_response ~version) s
+let response_to_string ?version resp =
+  check_version version;
+  encode w_response resp
+
+let response_of_string ?version s =
+  check_version version;
+  decode r_response s
 
 (* Framed I/O. The frame header is 16 bytes: the payload length and a
    checksum of the payload, both 8-byte big-endian. The checksum is a
@@ -515,7 +490,8 @@ let write_request ?deadline fd req =
   write_frame ?deadline fd (request_to_string req)
 
 let read_response ?version ?max_len ?deadline fd =
-  response_of_string ?version (read_frame ?max_len ?deadline fd)
+  check_version version;
+  response_of_string (read_frame ?max_len ?deadline fd)
 
-let write_response ?version ?deadline fd resp =
-  write_frame ?deadline fd (response_to_string ?version resp)
+let write_response ?deadline fd resp =
+  write_frame ?deadline fd (response_to_string resp)

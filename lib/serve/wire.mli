@@ -16,20 +16,11 @@
     and the property tests can round-trip random messages. *)
 
 val protocol_version : int
-(** Bumped on any incompatible change to the frame or message layout.
-    {!Hello} carries the client's copy; the server {e negotiates}: a
-    session speaks [min (client, server)] as long as the client's
-    version is at least {!min_protocol_version}, and the negotiated
-    version comes back in {!Hello_ok}. Version 3 added the {!Keyed}
-    idempotency envelope, the [Overloaded]/[Corrupt_frame] error codes
-    and the dedup/shed/reap stats counters; version 2 added {!Metrics},
-    {!Trace_dump}, the {!Traced} envelope and the [uptime_s] stats
-    field. Old clients keep working because none of the newer messages
-    appear on their sessions, and newer error codes downgrade to the
-    closest older code. *)
-
-val min_protocol_version : int
-(** Oldest client version the server still accepts (currently 1). *)
+(** The one wire format (3): checksummed frames, the {!Keyed} and
+    {!Traced} envelopes. {!Hello} carries the client's copy; a server
+    answers any other version with [Error Bad_request] and keeps the
+    session open. Bumped on any incompatible change to the frame or
+    message layout. *)
 
 val max_frame : int
 (** Default upper bound on a payload length (256 MiB). A frame header
@@ -67,22 +58,21 @@ type request =
           query text on the same instance returns the cached plan. *)
   | Execute of { instance : string; plan : plan_ref; mode : mode }
   | Ingest of { instance : string; facts : Lamp_relational.Fact.t list }
-      (** Batch-load facts; bumps the instance version, retiring pooled
-          engine handles and cached plans built on the old contents. *)
+      (** Batch-load facts; drops the instance's engine handle and the
+          cached plans built on the old contents. *)
   | Stats
   | Health
   | Metrics
       (** Live telemetry scrape: the server answers {!Metrics_reply}
-          with an OpenMetrics text snapshot ([Obs.Export.openmetrics]).
-          Protocol version 2. *)
+          with an OpenMetrics text snapshot ([Obs.Export.openmetrics]). *)
   | Trace_dump of { limit : int }
       (** The most recent [limit] completed server-side spans, newest
-          last ({!Trace_reply}). Protocol version 2. *)
+          last ({!Trace_reply}). *)
   | Traced of { trace : int; span : int; req : request }
       (** Client-side trace propagation: wraps any non-[Traced] request
           with the caller's trace and span ids so the server's span for
           the work links back to the client's. Decoders reject a nested
-          [Traced]. Protocol version 2. *)
+          [Traced]. *)
   | Keyed of { key : int; req : request }
       (** Idempotency envelope: [key] identifies one {e logical} engine
           op (prepare/execute/ingest). A client retrying after a
@@ -90,8 +80,7 @@ type request =
           window (keyed by client name and [key]) replays the recorded
           responses instead of re-executing, so a retried ingest applies
           exactly once. Decoders reject [Hello], [Traced] or another
-          [Keyed] inside; the canonical nesting is [Traced{Keyed{op}}].
-          Protocol version 3. *)
+          [Keyed] inside; the canonical nesting is [Traced{Keyed{op}}]. *)
 
 type error_code =
   | Bad_request  (** Unknown instance/plan id, parse error, bad frame. *)
@@ -102,13 +91,11 @@ type error_code =
       (** Load shedding: queue wait is past the server's watermark and
           this request was low-priority work. The client should back
           off at least [retry_after_s] seconds; resilient clients honor
-          it as a floor on their next retry delay. Downgrades to
-          [Throttled] on pre-v3 sessions. *)
+          it as a floor on their next retry delay. *)
   | Corrupt_frame
       (** The server could not decode the client's frame (checksum
           mismatch, bad length, malformed payload) and is hanging up;
-          safe to retry on a fresh connection. Downgrades to
-          [Bad_request] on pre-v3 sessions. *)
+          safe to retry on a fresh connection. *)
 
 type server_stats = {
   sessions : int;  (** Connected sessions, including the asker. *)
@@ -118,24 +105,17 @@ type server_stats = {
   plan_cache_size : int;
   plan_cache_hits : int;
   plan_cache_misses : int;
-  handle_pools : (string * int * int) list;
-      (** Per instance: (name, handles in use, idle handles). *)
   requests_served : int;
   rejected : int;
   throttled : int;
-  uptime_s : float;
-      (** Seconds since the server was created. Added in protocol
-          version 2; a v1 session's encoding omits it (decoded as 0). *)
+  uptime_s : float;  (** Seconds since the server was created. *)
   deduped : int;
       (** Keyed requests answered from the dedup window instead of
-          re-executed. Protocol version 3 (0 on older sessions). *)
-  shed : int;
-      (** Requests rejected with [Overloaded] while load shedding.
-          Protocol version 3 (0 on older sessions). *)
+          re-executed. *)
+  shed : int;  (** Requests rejected with [Overloaded] while load shedding. *)
   reaped : int;
       (** Sessions torn down by a read/write deadline, the idle
-          timeout or the stalled-connection reaper. Protocol version 3
-          (0 on older sessions). *)
+          timeout or the stalled-connection reaper. *)
 }
 
 type span_info = {
@@ -178,12 +158,12 @@ val request_to_string : request -> string
 val request_of_string : string -> request
 
 val response_to_string : ?version:int -> response -> string
-(** [version] (default {!protocol_version}) is the session's negotiated
-    protocol version; it selects the {!server_stats} layout (v1 has no
-    [uptime_s]). Requests need no version: every request tag a client
-    can send is fixed by the client's own version. *)
+(** [version], when given, is the session's version from {!Hello_ok};
+    it selects nothing, since there is one layout.
+    @raise Invalid_argument when it is not {!protocol_version}. *)
 
 val response_of_string : ?version:int -> string -> response
+(** [version] as for {!response_to_string}. *)
 
 (** {1 Framed I/O}
 
@@ -245,6 +225,6 @@ val write_request : ?deadline:float -> Unix.file_descr -> request -> unit
 val read_response :
   ?version:int -> ?max_len:int -> ?deadline:float -> Unix.file_descr ->
   response
+(** [version] as for {!response_to_string}, checked before reading. *)
 
-val write_response :
-  ?version:int -> ?deadline:float -> Unix.file_descr -> response -> unit
+val write_response : ?deadline:float -> Unix.file_descr -> response -> unit

@@ -617,6 +617,47 @@ let test_openmetrics_roundtrip () =
     "gauge scraped back" (Some 5.0)
     (value "lamp_test_om_gauge")
 
+(* Two scrapes of one histogram. Only non-empty buckets are exported,
+   so the newer scrape has bounds (2, 8) the older lacks: the window
+   holds three observations in (1, 2] and one in (4, 8]. *)
+let test_window_quantiles () =
+  let older =
+    Export.parse_openmetrics
+      "lamp_t_us_bucket{le=\"1\"} 5\n\
+       lamp_t_us_bucket{le=\"4\"} 7\n\
+       lamp_t_us_bucket{le=\"+Inf\"} 7\n\
+       lamp_t_us_count 7\n"
+  in
+  let newer =
+    Export.parse_openmetrics
+      "lamp_t_us_bucket{le=\"1\"} 5\n\
+       lamp_t_us_bucket{le=\"2\"} 8\n\
+       lamp_t_us_bucket{le=\"4\"} 10\n\
+       lamp_t_us_bucket{le=\"8\"} 11\n\
+       lamp_t_us_bucket{le=\"+Inf\"} 11\n\
+       lamp_t_us_count 11\n"
+  in
+  let window = Export.window_buckets ~newer ~older "lamp_t_us" in
+  Alcotest.(check (list (pair (float 0.0) (float 0.0))))
+    "window buckets"
+    [ (1.0, 0.0); (2.0, 3.0); (4.0, 3.0); (8.0, 4.0); (infinity, 4.0) ]
+    window;
+  (* Per-bucket counts are never negative and add up to the window's
+     _count delta. *)
+  let per_bucket =
+    snd
+      (List.fold_left_map (fun prev (_, cum) -> (cum, cum -. prev)) 0.0 window)
+  in
+  Alcotest.(check bool) "no negative bucket" true
+    (List.for_all (fun n -> n >= 0.0) per_bucket);
+  Alcotest.(check (float 0.0)) "buckets add up to the count delta" 4.0
+    (List.fold_left ( +. ) 0.0 per_bucket);
+  let q = Export.window_quantile ~newer ~older "lamp_t_us" in
+  Alcotest.(check (float 1e-9)) "p50 inside (1, 2]" (1.0 +. (2.0 /. 3.0)) (q 0.5);
+  Alcotest.(check (float 1e-9)) "p99 inside (4, 8]" 7.84 (q 0.99);
+  Alcotest.(check bool) "empty window" true
+    (Float.is_nan (Export.window_quantile ~newer ~older:newer "lamp_t_us" 0.5))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -682,5 +723,7 @@ let () =
             (clean test_skew_reports_gated);
           Alcotest.test_case "openmetrics round-trip" `Quick
             (clean test_openmetrics_roundtrip);
+          Alcotest.test_case "openmetrics window quantiles" `Quick
+            (clean test_window_quantiles);
         ] );
     ]

@@ -1,4 +1,4 @@
-(* lamp.serve: wire codecs, resource pool, quotas, plan cache, and the
+(* lamp.serve: wire codecs, quotas, plan cache, dedup window, and the
    headline property — a loopback server answers every query with
    results (and MPC statistics) bit-identical to the direct library
    call, on both execution backends. *)
@@ -11,7 +11,6 @@ module Eval = Lamp_cq.Eval
 module Parser = Lamp_cq.Parser
 module Stats = Lamp_mpc.Stats
 module Wire = Lamp_serve.Wire
-module Rpool = Lamp_serve.Rpool
 module Quota = Lamp_serve.Quota
 module Cache = Lamp_serve.Cache
 module Server = Lamp_serve.Server
@@ -97,7 +96,6 @@ let sample_server_stats : Wire.server_stats =
     plan_cache_size = 4;
     plan_cache_hits = 99;
     plan_cache_misses = 1;
-    handle_pools = [ ("main", 1, 2) ];
     requests_served = 100;
     rejected = 2;
     throttled = 1;
@@ -210,79 +208,34 @@ let test_wire_hostile () =
   reject "Hello inside Keyed"
     (Keyed { key = 1; req = Hello { client = "x"; version = 3 } })
 
-let test_wire_versioning () =
-  (* A v1 session's stats layout omits uptime_s: shorter on the wire,
-     decoded back with uptime 0. A v2 encoding keeps the float. *)
-  let resp : Wire.response = Stats_reply sample_server_stats in
-  let v1 = Wire.response_to_string ~version:1 resp in
-  let v2 = Wire.response_to_string ~version:2 resp in
-  Alcotest.(check bool) "v1 encoding is strictly shorter" true
-    (String.length v1 < String.length v2);
-  (match Wire.response_of_string ~version:1 v1 with
-  | Stats_reply s ->
-    Alcotest.(check (float 0.0)) "v1 decode defaults uptime" 0.0 s.uptime_s;
-    Alcotest.(check bool) "v1 decode keeps the rest" true
-      ({
-         s with
-         uptime_s = sample_server_stats.uptime_s;
-         deduped = sample_server_stats.deduped;
-         shed = sample_server_stats.shed;
-         reaped = sample_server_stats.reaped;
-       }
-      = sample_server_stats)
-  | _ -> Alcotest.fail "expected Stats_reply");
-  (match Wire.response_of_string ~version:2 v2 with
-  | Stats_reply s ->
-    Alcotest.(check (float 0.0)) "v2 keeps uptime"
-      sample_server_stats.uptime_s s.uptime_s
-  | _ -> Alcotest.fail "expected Stats_reply");
-  (* Decoding with the wrong dialect must fail loudly, not silently
-     misread: v2 bytes under a v1 decoder leave the float unconsumed. *)
-  (try
-     ignore (Wire.response_of_string ~version:1 v2);
-     Alcotest.fail "v2 bytes under v1 decoder must raise"
-   with Codec.Corrupt _ -> ());
-  (try
-     ignore (Wire.response_of_string ~version:2 v1);
-     Alcotest.fail "v1 bytes under v2 decoder must raise"
-   with Codec.Corrupt _ -> ());
-  (* v3 stats carry the dedup/shed/reap counters; a v2 encoding drops
-     them (decoded back as zero). *)
-  let v3 = Wire.response_to_string ~version:3 resp in
-  Alcotest.(check bool) "v2 stats encoding is strictly shorter than v3" true
-    (String.length v2 < String.length v3);
-  (match Wire.response_of_string ~version:3 v3 with
-  | Stats_reply s ->
-    Alcotest.(check bool) "v3 round-trips the hardening counters" true
-      (s = sample_server_stats)
-  | _ -> Alcotest.fail "expected Stats_reply");
-  (match Wire.response_of_string ~version:2 v2 with
-  | Stats_reply s ->
-    Alcotest.(check bool) "v2 decode zeroes v3 counters" true
-      (s.deduped = 0 && s.shed = 0 && s.reaped = 0)
-  | _ -> Alcotest.fail "expected Stats_reply");
-  (* The v3-only error codes downgrade for old sessions: Overloaded is
-     a capacity refusal like Throttled, Corrupt_frame a Bad_request. *)
-  let downgrade code expect =
-    let enc =
-      Wire.response_to_string ~version:2 (Error { code; message = "m" })
-    in
-    match Wire.response_of_string ~version:2 enc with
-    | Error { code = got; _ } ->
-      Alcotest.(check bool) "downgraded code" true (got = expect)
-    | _ -> Alcotest.fail "expected Error"
+(* The encodings are pinned: a digest of every sample message but
+   [Stats_reply], whose counters no request or answer depends on. A
+   codec change that alters any request, result, load-statistics or
+   error frame fails here. *)
+let test_wire_golden () =
+  let digest encs =
+    Wire.checksum
+      (String.concat ""
+         (List.map (fun s -> string_of_int (String.length s) ^ ":" ^ s) encs))
   in
-  downgrade (Overloaded { retry_after_s = 0.5 }) Wire.Throttled;
-  downgrade Corrupt_frame Wire.Bad_request;
-  (* And survive verbatim on a v3 session. *)
-  match
-    Wire.response_of_string ~version:3
-      (Wire.response_to_string ~version:3
-         (Error { code = Overloaded { retry_after_s = 0.5 }; message = "m" }))
-  with
-  | Error { code = Overloaded { retry_after_s }; _ } ->
-    Alcotest.(check (float 0.0)) "retry_after survives v3" 0.5 retry_after_s
-  | _ -> Alcotest.fail "expected Overloaded error"
+  Alcotest.(check int)
+    "request bytes" 4203550165754066022
+    (digest (List.map Wire.request_to_string sample_requests));
+  Alcotest.(check int)
+    "response bytes" 672323341457227177
+    (digest
+       (List.filter_map
+          (function
+            | Wire.Stats_reply _ -> None
+            | r -> Some (Wire.response_to_string r))
+          sample_responses));
+  (* There is one layout: a caller naming any other version is a bug. *)
+  List.iter
+    (fun version ->
+      match Wire.response_to_string ~version Healthy with
+      | _ -> Alcotest.failf "version %d has no layout" version
+      | exception Invalid_argument _ -> ())
+    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Checksummed framing                                                 *)
@@ -345,146 +298,6 @@ let test_frame_closed () =
       match Wire.read_frame b with
       | _ -> Alcotest.fail "peer is gone"
       | exception Wire.Closed -> ())
-
-(* ------------------------------------------------------------------ *)
-(* Resource pool                                                       *)
-
-let test_rpool_reuse_and_dispose () =
-  let live = ref 0 in
-  let built = ref 0 in
-  let p =
-    Rpool.create ~max_size:2
-      ~dispose:(fun _ -> decr live)
-      (fun () ->
-        incr live;
-        incr built;
-        !built)
-  in
-  let first = Rpool.use p (fun r -> r) in
-  let second = Rpool.use p (fun r -> r) in
-  Alcotest.(check int) "sequential uses share one resource" first second;
-  Alcotest.(check int) "one allocation" 1 (Rpool.created p);
-  Alcotest.(check int) "one idle" 1 (Rpool.idle p);
-  (* A raising user poisons its resource: disposed, not reused. *)
-  (try Rpool.use p (fun _ -> failwith "boom") with Failure _ -> ());
-  Alcotest.(check int) "poisoned resource disposed" 0 (Rpool.size p);
-  Alcotest.(check int) "live tracks dispose" 0 !live;
-  let third = Rpool.use p (fun r -> r) in
-  Alcotest.(check bool) "fresh resource after poison" true (third > second)
-
-let test_rpool_validation () =
-  let version = ref 0 in
-  let p =
-    Rpool.create ~max_size:2
-      ~validate:(fun (v, _) -> v = !version)
-      (fun () -> (!version, ()))
-  in
-  Rpool.use p ignore;
-  Alcotest.(check int) "handle pooled" 1 (Rpool.size p);
-  incr version;
-  Rpool.use p (fun (v, ()) ->
-      Alcotest.(check int) "stale handle replaced on checkout" 1 v);
-  Alcotest.(check int) "replacement, not accumulation" 1 (Rpool.size p);
-  Alcotest.(check int) "two allocations total" 2 (Rpool.created p)
-
-let test_rpool_blocks_at_capacity () =
-  let p = Rpool.create ~max_size:1 (fun () -> ()) in
-  let order = Queue.create () in
-  let m = Mutex.create () in
-  let push x = Mutex.protect m (fun () -> Queue.push x order) in
-  let holder =
-    Thread.create
-      (fun () ->
-        Rpool.use p (fun () ->
-            push `Held;
-            Thread.delay 0.05;
-            push `Releasing))
-      ()
-  in
-  Thread.delay 0.02;
-  Rpool.use p (fun () -> push `Second);
-  Thread.join holder;
-  Alcotest.(check bool)
-    "second use waited for the release" true
-    (List.of_seq (Queue.to_seq order) = [ `Held; `Releasing; `Second ])
-
-let test_rpool_trim_and_drain () =
-  let live = ref 0 in
-  let p =
-    Rpool.create ~max_size:4
-      ~dispose:(fun _ -> decr live)
-      (fun () ->
-        incr live;
-        ref ())
-  in
-  (* Force several concurrent checkouts so the pool grows. *)
-  let barrier = Mutex.create () in
-  Mutex.lock barrier;
-  let ts =
-    List.init 3 (fun _ ->
-        Thread.create
-          (fun () ->
-            Rpool.use p (fun _ ->
-                Mutex.lock barrier;
-                Mutex.unlock barrier))
-          ())
-  in
-  while Rpool.in_use p < 3 do
-    Thread.delay 0.005
-  done;
-  Mutex.unlock barrier;
-  List.iter Thread.join ts;
-  Alcotest.(check int) "pool grew to demand" 3 (Rpool.size p);
-  Rpool.trim p ~keep:1;
-  Alcotest.(check int) "trim evicts idle beyond keep" 1 (Rpool.size p);
-  Alcotest.(check int) "dispose ran on eviction" 1 !live;
-  Rpool.drain p;
-  Alcotest.(check int) "drain empties the pool" 0 (Rpool.size p);
-  Alcotest.(check int) "every resource disposed" 0 !live;
-  try
-    Rpool.use p ignore;
-    Alcotest.fail "use after drain must raise"
-  with Rpool.Draining -> ()
-
-let test_rpool_drain_races_checkout () =
-  (* Drain while a checkout is in flight: the drain must wait for the
-     borrowed resource to come back, then dispose it — never dispose a
-     resource out from under its user, never leak it. *)
-  let live = ref 0 in
-  let p =
-    Rpool.create ~max_size:2
-      ~dispose:(fun _ -> decr live)
-      (fun () ->
-        incr live;
-        ref ())
-  in
-  let holding = Semaphore.Binary.make false in
-  let release = Semaphore.Binary.make false in
-  let user =
-    Thread.create
-      (fun () ->
-        Rpool.use p (fun r ->
-            Semaphore.Binary.release holding;
-            (* Wait until the main thread has started the drain. *)
-            Semaphore.Binary.acquire release;
-            (* The resource must still be alive while borrowed. *)
-            !r))
-      ()
-  in
-  Semaphore.Binary.acquire holding;
-  Alcotest.(check int) "resource checked out" 1 (Rpool.in_use p);
-  let drainer = Thread.create (fun () -> Rpool.drain p) () in
-  Thread.delay 0.02;
-  Semaphore.Binary.release release;
-  Thread.join user;
-  Thread.join drainer;
-  Alcotest.(check int) "drain disposed the returned resource" 0 !live;
-  Alcotest.(check int) "nothing in use after the race" 0 (Rpool.in_use p);
-  (* A checkout racing the drain loses cleanly: Draining, not a hang. *)
-  try
-    Rpool.use p ignore;
-    Alcotest.fail "post-drain use must raise"
-  with Rpool.Draining -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Quota                                                               *)
@@ -890,37 +703,13 @@ let test_errors_and_health () =
           (* The session survives every error above. *)
           Alcotest.(check bool) "still healthy" true (Client.health c)))
 
-let test_protocol_negotiation () =
-  with_server `Seq (fun _server ~executor:_ ~path ->
-      (* An old v1 client: the session settles on 1 and every reply is
-         v1-layout — stats still decode, with uptime defaulted. *)
-      with_client path (fun c ->
-          ignore (Client.hello ~client:"old" ~version:1 c);
-          Alcotest.(check int) "negotiated down to 1" 1 (Client.version c);
-          let s = Client.stats c in
-          Alcotest.(check (float 0.0)) "v1 stats have no uptime" 0.0 s.uptime_s;
-          Alcotest.(check bool) "v1 session still works" true (Client.health c));
-      (* A futuristic client: the server answers with its own version. *)
-      with_client path (fun c ->
-          ignore (Client.hello ~client:"new" ~version:99 c);
-          Alcotest.(check int) "capped at the server's version"
-            Wire.protocol_version (Client.version c);
-          let s = Client.stats c in
-          Alcotest.(check bool) "v2 stats carry uptime" true (s.uptime_s >= 0.0));
-      (* Below the floor: rejected before the session starts. *)
-      with_client path (fun c ->
-          match Client.hello ~client:"ancient" ~version:0 c with
-          | _ -> Alcotest.fail "version 0 must be rejected"
-          | exception Client.Server_error (Bad_request, _) -> ()))
-
 (* ------------------------------------------------------------------ *)
 (* Hostile-network hardening                                           *)
 
-let test_keyed_ingest_exactly_once () =
+let test_keyed_ingest_replays () =
   with_server `Seq (fun server ~executor:_ ~path ->
       with_client path (fun c ->
           ignore (Client.hello ~client:"keyed" c);
-          Alcotest.(check int) "v3 session" 3 (Client.version c);
           let fresh =
             [
               Fact.of_list "R" [ Value.int 500; Value.int 501 ];
@@ -985,11 +774,12 @@ let test_dedup_byte_cap () =
           Alcotest.(check int) "replay surfaced in stats" 1
             (Server.stats server).deduped))
 
-(* A hand-rolled wire-speaking server: answers hello at the version it
-   is told to, then drops the connection on the first engine op it ever
-   sees and serves every later one — the shape of "the request may have
-   applied, the answer is gone". *)
-let test_resilient_downgrade_refuses_ingest_retry () =
+(* A hand-rolled wire-speaking server: answers hello at [version], then
+   drops the connection on the first ingest it ever sees and serves
+   every later one — the shape of "the request may have applied, the
+   answer is gone". [f] gets the socket path and a reader for the
+   idempotency key of every ingest seen, oldest first. *)
+let with_fake_server ~version f =
   incr sock_counter;
   let path =
     Filename.concat
@@ -1000,34 +790,33 @@ let test_resilient_downgrade_refuses_ingest_retry () =
   Unix.bind srv (ADDR_UNIX path);
   Unix.listen srv 4;
   let stop = Atomic.make false in
-  let ingests_seen = Atomic.make 0 in
+  let seen = Mutex.create () in
+  let ingest_keys = ref [] in
   let dropped_once = Atomic.make false in
-  let rec strip : Wire.request -> Wire.request = function
-    | Traced { req; _ } | Keyed { key = _; req } -> strip req
-    | r -> r
+  let rec strip key : Wire.request -> int option * Wire.request = function
+    | Traced { req; _ } -> strip key req
+    | Keyed { key; req } -> strip (Some key) req
+    | r -> (key, r)
   in
   let serve_conn fd =
-    let version = ref Wire.protocol_version in
     let rec loop () =
       match Wire.read_request fd with
-      | Hello { version = v; _ } ->
-        version := min v Wire.protocol_version;
-        Wire.write_response ~version:!version fd
-          (Hello_ok { server = "fake"; version = !version });
+      | Hello _ ->
+        Wire.write_response fd (Hello_ok { server = "fake"; version });
         loop ()
       | req -> (
-        match strip req with
-        | Ingest _ ->
-          Atomic.incr ingests_seen;
+        match strip None req with
+        | key, Ingest _ ->
+          Mutex.protect seen (fun () -> ingest_keys := key :: !ingest_keys);
           if Atomic.compare_and_set dropped_once false true then
             (* Drop mid-op: the client cannot know whether it applied. *)
             Unix.close fd
           else begin
-            Wire.write_response ~version:!version fd (Ingested { added = 1 });
+            Wire.write_response fd (Ingested { added = 1 });
             loop ()
           end
         | _ ->
-          Wire.write_response ~version:!version fd Healthy;
+          Wire.write_response fd Healthy;
           loop ())
     in
     try loop () with
@@ -1059,39 +848,63 @@ let test_resilient_downgrade_refuses_ingest_retry () =
       (try Unix.close srv with Unix.Unix_error _ -> ());
       try Unix.unlink path with Unix.Unix_error _ -> ())
     (fun () ->
+      f path (fun () -> Mutex.protect seen (fun () -> List.rev !ingest_keys)))
+
+let test_resilient_retries_dropped_ingest () =
+  with_fake_server ~version:Wire.protocol_version (fun path keys ->
       let fresh = [ Fact.of_list "R" [ Value.int 1; Value.int 2 ] ] in
-      let wrapper version =
+      let r =
         Resilient.create
           ~config:{ Resilient.default_config with max_attempts = 4 }
-          ~client:"downgrade" ~hello_version:version (fun () ->
+          ~client:"dropped" (fun () ->
             Client.connect_unix ~timeout_s:2.0 ~path ())
       in
-      (* On a v2 session the idempotency key cannot be carried: the
-         wrapper must NOT retry the dropped ingest — the typed loss
-         propagates and the server saw the op exactly once. *)
-      let r2 = wrapper 2 in
       Fun.protect
-        ~finally:(fun () -> Resilient.close r2)
+        ~finally:(fun () -> Resilient.close r)
         (fun () ->
-          (match Resilient.ingest r2 ~instance:"main" fresh with
-          | _ -> Alcotest.fail "pre-v3 ingest retry must be refused"
-          | exception (Client.Connection_lost _ | Client.Timed_out _) -> ());
-          Alcotest.(check int) "no at-least-once double-send" 1
-            (Atomic.get ingests_seen);
-          Alcotest.(check int) "no retry burned" 0 (Resilient.retries r2));
-      (* The same drop on a v3 session is retried (the key makes the
-         re-execution safe) and succeeds on the fresh connection. *)
-      Atomic.set dropped_once false;
-      Atomic.set ingests_seen 0;
-      let r3 = wrapper 3 in
+          (* The key makes the re-execution safe: the wrapper retries
+             the dropped ingest on a fresh connection, where it
+             succeeds. *)
+          Alcotest.(check int) "retry completes the op" 1
+            (Resilient.ingest r ~instance:"main" fresh);
+          Alcotest.(check int) "one retry" 1 (Resilient.retries r);
+          match keys () with
+          | [ Some k1; Some k2 ] ->
+            Alcotest.(check int) "the retry re-sends the same key" k1 k2
+          | ks -> Alcotest.failf "%d ingests seen, want 2 keyed" (List.length ks)))
+
+let test_hello_refuses_other_versions () =
+  with_server `Seq (fun _server ~executor:_ ~path ->
+      let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
       Fun.protect
-        ~finally:(fun () -> Resilient.close r3)
+        ~finally:(fun () -> Unix.close fd)
         (fun () ->
-          Alcotest.(check int) "v3 retry completes the op" 1
-            (Resilient.ingest r3 ~instance:"main" fresh);
-          Alcotest.(check bool) "the retry really happened" true
-            (Resilient.retries r3 >= 1
-            && Atomic.get ingests_seen >= 2)))
+          Unix.connect fd (ADDR_UNIX path);
+          let call req =
+            Wire.write_request fd req;
+            Wire.read_response fd
+          in
+          (* Every other version is refused, and the session stays up. *)
+          List.iter
+            (fun version ->
+              (match call (Hello { client = "other"; version }) with
+              | Error { code = Bad_request; _ } -> ()
+              | _ -> Alcotest.failf "hello at version %d must be refused" version);
+              Alcotest.(check bool)
+                (Printf.sprintf "session serves after version %d" version)
+                true
+                (call Health = Healthy))
+            [ 0; 2; 4 ];
+          match call (Hello { client = "current"; version = 3 }) with
+          | Hello_ok { version; _ } ->
+            Alcotest.(check int) "version 3 is accepted" 3 version
+          | _ -> Alcotest.fail "hello at version 3 must succeed"));
+  (* And the client refuses a server at another version. *)
+  with_fake_server ~version:2 (fun path _ ->
+      with_client path (fun c ->
+          match Client.hello c with
+          | _ -> Alcotest.fail "a server at version 2 must be refused"
+          | exception Client.Protocol_error _ -> ()))
 
 let test_shedding_overload () =
   (* A negative watermark latches shedding after the first engine op
@@ -1368,7 +1181,7 @@ let test_live_scrape () =
                    (fun (s : Wire.span_info) -> s.sp_name = "serve.request")
                    spans))))
 
-let test_stop_drains_pools () =
+let test_stop_ends_sessions () =
   let executor = Executor.sequential in
   let server = Server.create ~executor () in
   Server.add_instance server ~name:"main" seed_data;
@@ -1381,17 +1194,14 @@ let test_stop_drains_pools () =
   Server.listen_unix server ~path;
   with_client path (fun c ->
       ignore (Client.execute c ~instance:"main" (Adhoc "H() <- R(x,y)"));
-      let s = Client.stats c in
-      Alcotest.(check bool) "a handle is pooled while serving" true
-        (List.exists (fun (_, _, idle) -> idle > 0) s.handle_pools));
-  Server.stop server;
-  let s = Server.stats server in
-  List.iter
-    (fun (name, in_use, idle) ->
-      Alcotest.(check int) (name ^ ": no handle in use") 0 in_use;
-      Alcotest.(check int) (name ^ ": no idle handle survives") 0 idle)
-    s.handle_pools;
-  Alcotest.(check int) "no session survives" 0 s.sessions;
+      (* Stop while the client is still connected: its session is shut
+         down, not waited for. *)
+      Server.stop server;
+      Alcotest.(check int) "no session survives" 0
+        (Server.stats server).sessions;
+      match Client.health c with
+      | _ -> Alcotest.fail "the session must be gone"
+      | exception (Client.Connection_lost _ | Client.Timed_out _) -> ());
   (try Unix.unlink path with Unix.Unix_error _ -> ())
 
 let test_concurrent_clients_match () =
@@ -1427,7 +1237,7 @@ let () =
         [
           Alcotest.test_case "round-trips" `Quick test_wire_roundtrip;
           Alcotest.test_case "hostile input" `Quick test_wire_hostile;
-          Alcotest.test_case "version dialects" `Quick test_wire_versioning;
+          Alcotest.test_case "v3 golden bytes" `Quick test_wire_golden;
         ] );
       ( "framing",
         [
@@ -1438,18 +1248,6 @@ let () =
             test_frame_too_large;
           Alcotest.test_case "read deadline" `Quick test_frame_deadline;
           Alcotest.test_case "peer gone" `Quick test_frame_closed;
-        ] );
-      ( "rpool",
-        [
-          Alcotest.test_case "reuse and dispose" `Quick
-            test_rpool_reuse_and_dispose;
-          Alcotest.test_case "validation retires stale handles" `Quick
-            test_rpool_validation;
-          Alcotest.test_case "blocks at capacity" `Quick
-            test_rpool_blocks_at_capacity;
-          Alcotest.test_case "trim and drain" `Quick test_rpool_trim_and_drain;
-          Alcotest.test_case "drain races a checkout" `Quick
-            test_rpool_drain_races_checkout;
         ] );
       ( "quota",
         [
@@ -1483,23 +1281,23 @@ let () =
           Alcotest.test_case "per-client quotas" `Quick test_quota_throttle;
           Alcotest.test_case "errors keep the session" `Quick
             test_errors_and_health;
-          Alcotest.test_case "protocol negotiation" `Quick
-            test_protocol_negotiation;
+          Alcotest.test_case "hello rejects other versions" `Quick
+            test_hello_refuses_other_versions;
           Alcotest.test_case "live metrics and trace scrape" `Quick
             test_live_scrape;
-          Alcotest.test_case "stop drains every pool" `Quick
-            test_stop_drains_pools;
+          Alcotest.test_case "stop ends every session" `Quick
+            test_stop_ends_sessions;
           Alcotest.test_case "concurrent clients agree" `Quick
             test_concurrent_clients_match;
         ] );
       ( "hardening",
         [
           Alcotest.test_case "keyed ingest exactly once" `Quick
-            test_keyed_ingest_exactly_once;
+            test_keyed_ingest_replays;
           Alcotest.test_case "dedup records are size-capped" `Quick
             test_dedup_byte_cap;
-          Alcotest.test_case "pre-v3 session refuses unsafe retry" `Quick
-            test_resilient_downgrade_refuses_ingest_retry;
+          Alcotest.test_case "dropped keyed ingest is retried once" `Quick
+            test_resilient_retries_dropped_ingest;
           Alcotest.test_case "overload sheds with retry hint" `Quick
             test_shedding_overload;
           Alcotest.test_case "frame limit is typed and fatal" `Quick
