@@ -6,7 +6,9 @@
 
      dune exec bench/main.exe                 run every experiment
      dune exec bench/main.exe -- fig1 e3      run selected experiments
-     dune exec bench/main.exe -- --timings    also run Bechamel timings
+     dune exec bench/main.exe -- --timings    trace engine rounds per
+                                              experiment, then run
+                                              Bechamel timings
 
    The MPC simulator's execution backend is selectable:
 
@@ -28,6 +30,7 @@
    where crossovers fall — are the reproduction target. *)
 
 open Lamp
+module Oracle = Lamp_oracle
 
 let line fmt = Fmt.pr (fmt ^^ "@.")
 let section title = line "@.=== %s ===" title
@@ -85,6 +88,21 @@ let write_json path =
 
 let check label ok =
   line "  %-62s %s" label (if ok then "MATCH" else "MISMATCH")
+
+(* [f ()] and its wall clock in milliseconds. *)
+let time_ms f =
+  let t0 = Obs.Trace.now () in
+  let r = f () in
+  (r, 1000.0 *. (Obs.Trace.now () -. t0))
+
+(* The first run's result and the median wall clock of [reps] runs, in
+   milliseconds; one untimed warm-up first so page faults and GC growth
+   don't land on whichever variant happens to run first. *)
+let timed_median ~reps f =
+  ignore (f ());
+  let runs = List.init reps (fun _ -> time_ms f) in
+  let ts = List.sort compare (List.map snd runs) in
+  (fst (List.hd runs), List.nth ts (reps / 2))
 
 (* ------------------------------------------------------------------ *)
 (* FIG1: transfer vs containment lattices (Figure 1)                   *)
@@ -982,11 +1000,6 @@ let e12 () =
   section
     "E12: interned storage + compiled plans vs the reference engine";
   let scale n = if !smoke then max 1 (n / 20) else n in
-  let time f =
-    let t0 = Runtime.Metrics.now () in
-    let r = f () in
-    (r, 1000.0 *. (Runtime.Metrics.now () -. t0))
-  in
   let report label old_ms new_ms =
     line "  %-44s old %8.1f ms   new %8.1f ms   %5.1fx" label old_ms new_ms
       (old_ms /. new_ms)
@@ -998,11 +1011,12 @@ let e12 () =
   let graph = Relational.Generate.random_graph ~rng ~nodes ~edges () in
   let tc = Datalog.Canned.transitive_closure in
   let old_r, old_ms =
-    time (fun () ->
-        Datalog.Eval.run_reference ~strategy:Datalog.Eval.Seminaive tc graph)
+    time_ms (fun () ->
+        Oracle.Datalog_reference.run ~strategy:Datalog.Eval.Seminaive tc
+          graph)
   in
   let new_r, new_ms =
-    time (fun () ->
+    time_ms (fun () ->
         Datalog.Eval.run ~strategy:Datalog.Eval.Seminaive tc graph)
   in
   line "  TC over random graph: %d nodes, %d edge samples, |TC| = %d" nodes
@@ -1026,11 +1040,12 @@ let e12 () =
            Relational.Fact.of_ints "E" [ i; i + 1 ]))
   in
   let old_r, old_ms =
-    time (fun () ->
-        Datalog.Eval.run_reference ~strategy:Datalog.Eval.Seminaive tc chain)
+    time_ms (fun () ->
+        Oracle.Datalog_reference.run ~strategy:Datalog.Eval.Seminaive tc
+          chain)
   in
   let new_r, new_ms =
-    time (fun () ->
+    time_ms (fun () ->
         Datalog.Eval.run ~strategy:Datalog.Eval.Seminaive tc chain)
   in
   check
@@ -1041,7 +1056,7 @@ let e12 () =
   metric "tc_chain_new_ms" new_ms;
   metric "tc_chain_speedup" (old_ms /. new_ms);
   let naive_r, naive_ms =
-    time (fun () -> Datalog.Eval.run ~strategy:Datalog.Eval.Naive tc chain)
+    time_ms (fun () -> Datalog.Eval.run ~strategy:Datalog.Eval.Naive tc chain)
   in
   check "TC(path): naive = seminaive on the interned engine"
     (Relational.Instance.equal naive_r new_r);
@@ -1051,10 +1066,10 @@ let e12 () =
   let rng = Random.State.make [| 112 |] in
   let tri = Mpc.Workload.triangle_skew_free ~rng ~m ~domain:m in
   let old_r, old_ms =
-    time (fun () -> Cq.Eval.Reference.eval Cq.Examples.q2_triangle tri)
+    time_ms (fun () -> Oracle.Cq_reference.eval Cq.Examples.q2_triangle tri)
   in
   let new_r, new_ms =
-    time (fun () -> Cq.Eval.eval Cq.Examples.q2_triangle tri)
+    time_ms (fun () -> Cq.Eval.eval Cq.Examples.q2_triangle tri)
   in
   line "  triangle: m = %d per relation, %d triangles" m
     (Relational.Instance.cardinal new_r);
@@ -1070,13 +1085,13 @@ let e12 () =
   let p = 8 in
   let tri = Mpc.Workload.triangle_skew_free ~rng ~m:(scale 20000) ~domain:(scale 20000) in
   let (r_seq, s_seq, _), seq_ms =
-    time (fun () ->
+    time_ms (fun () ->
         Mpc.Hypercube.run ~executor:Runtime.Executor.sequential ~p
           Cq.Examples.q2_triangle tri)
   in
   let pool = Runtime.Pool.create ~domains:4 () in
   let (r_pool, s_pool, _), pool_ms =
-    time (fun () ->
+    time_ms (fun () ->
         Mpc.Hypercube.run ~executor:(Runtime.Executor.pool pool) ~p
           Cq.Examples.q2_triangle tri)
   in
@@ -1189,8 +1204,8 @@ let e13 () =
         (Mpc.Stats.rounds clean_stats)
         (Mpc.Stats.max_load clean_stats)
         (Mpc.Stats.total_communication clean_stats);
-      (* The faulty code path with a zero spec must be a byte-identical
-         no-op: fault injection that is off costs nothing. *)
+      (* An all-zero plan must be a byte-identical no-op: it runs the
+         same round body as Plan.none and decides the same constants. *)
       let zero_out, zero_stats = run ~faults:(Faults.Plan.make ~seed Faults.Plan.zero) in
       check
         (Printf.sprintf "%s: zero-fault plan output and stats byte-identical"
@@ -1271,20 +1286,7 @@ let e14 () =
       ~rels:[ "R1"; "R2"; "R3" ]
   in
   let reps = if !smoke then 1 else 3 in
-  (* Median wall clock over [reps] runs, in milliseconds; one untimed
-     warm-up first so page faults and GC growth don't land on whichever
-     variant happens to run first. *)
-  let timed f =
-    let once () =
-      let t0 = Runtime.Metrics.now () in
-      let v = f () in
-      (v, 1000.0 *. (Runtime.Metrics.now () -. t0))
-    in
-    ignore (f ());
-    let runs = List.init reps (fun _ -> once ()) in
-    let ts = List.sort compare (List.map snd runs) in
-    (fst (List.hd runs), List.nth ts (reps / 2))
-  in
+  let timed f = timed_median ~reps f in
   let algorithms : (string * e14_algo) list =
     [
       ( "cascade",
@@ -1376,13 +1378,8 @@ let e14 () =
          sleeps are deterministic and scheduler noise is strictly
          additive, so the minimum isolates the stall difference. *)
       let timed_min f =
-        let once () =
-          let t0 = Runtime.Metrics.now () in
-          let v = f () in
-          (v, 1000.0 *. (Runtime.Metrics.now () -. t0))
-        in
         ignore (f ());
-        let runs = List.init (max reps 5) (fun _ -> once ()) in
+        let runs = List.init (max reps 5) (fun _ -> time_ms f) in
         (fst (List.hd runs), List.fold_left min infinity (List.map snd runs))
       in
       let (slow_out, _), t_slow = timed_min (run unmitigated) in
@@ -1735,20 +1732,17 @@ let e16 () =
   section
     "E16: worst-case-optimal joins vs binary plans (local and distributed)";
   let scale n = if !smoke then max 20 (n / 40) else n in
-  let time f =
-    let t0 = Runtime.Metrics.now () in
-    let r = f () in
-    (r, 1000.0 *. (Runtime.Metrics.now () -. t0))
-  in
   let equal = Relational.Instance.equal in
   (* Local race: seed value-level oracle vs interned binary plan vs
      interned WCOJ, all bit-identical by construction. *)
   let race key label ?(reference = true) q inst =
-    let rb, b_ms = time (fun () -> Cq.Eval.eval q inst) in
-    let rw, w_ms = time (fun () -> Cq.Eval.eval ~strategy:Cq.Eval.Wcoj q inst) in
+    let rb, b_ms = time_ms (fun () -> Cq.Eval.eval q inst) in
+    let rw, w_ms =
+      time_ms (fun () -> Cq.Eval.eval ~strategy:Cq.Eval.Wcoj q inst)
+    in
     check (label ^ ": wcoj result = binary result") (equal rb rw);
     if reference then begin
-      let rr, r_ms = time (fun () -> Cq.Eval.Reference.eval q inst) in
+      let rr, r_ms = time_ms (fun () -> Oracle.Cq_reference.eval q inst) in
       check (label ^ ": binary result = seed reference result") (equal rr rb);
       metric (key ^ "_reference_ms") r_ms
     end;
@@ -1818,12 +1812,12 @@ let e16 () =
       1 [ "R"; "S"; "T" ]
   in
   let (hc_b, hcs_b, _), hc_b_ms =
-    time (fun () ->
+    time_ms (fun () ->
         Mpc.Hypercube.run ~executor:(exec ()) ~p Cq.Examples.q2_triangle
           tri_skew)
   in
   let (hc_w, hcs_w, _), hc_w_ms =
-    time (fun () ->
+    time_ms (fun () ->
         Mpc.Hypercube.run ~strategy:Cq.Eval.Wcoj ~executor:(exec ()) ~p
           Cq.Examples.q2_triangle tri_skew)
   in
@@ -1831,7 +1825,7 @@ let e16 () =
     (equal hc_b hc_w && hcs_b = hcs_w);
   check "hypercube: result = local result" (equal hc_b tri_skew_r);
   let (kst_r, kst_s, combos), kst_ms =
-    time (fun () ->
+    time_ms (fun () ->
         Mpc.Kst.run ~executor:(exec ()) ~p Cq.Examples.q2_triangle tri_skew)
   in
   check "kst: result = local result" (equal kst_r tri_skew_r);
@@ -1851,12 +1845,12 @@ let e16 () =
   metric "e16_kst_ms" kst_ms;
   (* The same two schedules on the Zipf 4-cycle. *)
   let (hc4, hcs4, _), _ =
-    time (fun () ->
+    time_ms (fun () ->
         Mpc.Hypercube.run ~strategy:Cq.Eval.Wcoj ~executor:(exec ()) ~p
           Cq.Examples.q_four_cycle cyc_zipf)
   in
   let (kst4, ksts4, combos4), _ =
-    time (fun () ->
+    time_ms (fun () ->
         Mpc.Kst.run ~executor:(exec ()) ~p Cq.Examples.q_four_cycle cyc_zipf)
   in
   check "4-cycle: hypercube+wcoj = local result" (equal hc4 cyc_zipf_r);
@@ -2067,6 +2061,7 @@ let e17 () =
     Mpc.Hypercube.run ~executor:(exec ()) ~p:8 Cq.Examples.q2_triangle tri
   in
   let r_off, s_off, _ = run_tri () in
+  let was_enabled = Obs.Trace.is_enabled () in
   Obs.Trace.set_mode (Ring 4096);
   Obs.Trace.set_enabled true;
   Obs.Sketch.set_enabled true;
@@ -2074,7 +2069,7 @@ let e17 () =
   let scrape_t0 = Unix.gettimeofday () in
   let exposition = Obs.Export.openmetrics () in
   let scrape_us = 1e6 *. (Unix.gettimeofday () -. scrape_t0) in
-  Obs.Trace.set_enabled false;
+  Obs.Trace.set_enabled was_enabled;
   Obs.Trace.set_mode Full;
   Obs.Sketch.set_enabled false;
   check "telemetry on: triangle result and Stats.t bit-identical"
@@ -2726,17 +2721,7 @@ let e19 () =
   rm_rf dir;
   (* -- Overhead: what the fsync'd two-generation store costs. -------- *)
   let reps = if !smoke then 1 else 3 in
-  let timed f =
-    let once () =
-      let t0 = Runtime.Metrics.now () in
-      let v = f () in
-      (v, 1000.0 *. (Runtime.Metrics.now () -. t0))
-    in
-    ignore (f ());
-    let runs = List.init reps (fun _ -> once ()) in
-    let ts = List.sort compare (List.map snd runs) in
-    (fst (List.hd runs), List.nth ts (reps / 2))
-  in
+  let timed f = timed_median ~reps f in
   line "  checkpoint overhead: none vs fsync'd disk vs disk under chaos \
         (median of %d)" reps;
   List.iter
@@ -2828,6 +2813,24 @@ let kv_flag key a =
     Some (String.sub a (String.length prefix) (String.length a - String.length prefix))
   else None
 
+(* The --timings engine summary: the MPC rounds among [events], from
+   the [runtime] span the cluster records per round. *)
+let pp_engine ppf events =
+  let int k args =
+    match List.assoc_opt k args with Some (Obs.Trace.Int n) -> n | _ -> 0
+  in
+  let rounds, wall, tasks, steals =
+    List.fold_left
+      (fun ((rounds, wall, tasks, steals) as acc) -> function
+        | Obs.Trace.Span { cat = "runtime"; dur; args; _ } ->
+          (rounds + 1, wall +. dur, tasks + int "tasks" args,
+           steals + int "steals" args)
+        | _ -> acc)
+      (0, 0.0, 0, 0) events
+  in
+  Fmt.pf ppf "%d rounds, %.1f ms in the engine, %d tasks, %d steals" rounds
+    (1000.0 *. wall) tasks steals
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let want_timings = List.mem "--timings" args in
@@ -2883,8 +2886,8 @@ let () =
     (Runtime.Executor.backend_name (exec ()))
     (Runtime.Executor.workers (exec ()))
     (if Runtime.Executor.workers (exec ()) = 1 then "" else "s");
-  Runtime.Metrics.set_enabled want_timings;
-  if !trace_out <> None || !jsonl_out <> None then Obs.Trace.set_enabled true;
+  if want_timings || !trace_out <> None || !jsonl_out <> None then
+    Obs.Trace.set_enabled true;
   let to_run =
     if selected = [] then experiments
     else
@@ -2900,18 +2903,15 @@ let () =
   in
   List.iter
     (fun (name, f) ->
-      Runtime.Metrics.reset ();
       current_exp := name;
       recorded := (name, ref []) :: !recorded;
-      let t0 = Runtime.Metrics.now () in
-      Obs.Trace.span ~cat:"bench" name f;
-      let wall = 1000.0 *. (Runtime.Metrics.now () -. t0) in
+      let seen = List.length (Obs.Trace.events ()) in
+      let (), wall = time_ms (fun () -> Obs.Trace.span ~cat:"bench" name f) in
       metric "wall_ms" wall;
       current_exp := "";
       if want_timings then
-        line "  [%s wall %.0f ms; engine: %a]" name wall
-          Runtime.Metrics.pp_summary
-          (Runtime.Metrics.summary ()))
+        line "  [%s wall %.0f ms; engine: %a]" name wall pp_engine
+          (List.filteri (fun i _ -> i >= seen) (Obs.Trace.events ())))
     to_run;
   if want_timings then timings ();
   Option.iter Runtime.Pool.shutdown pool;

@@ -58,7 +58,6 @@ module Runtime = struct
   module Deque = Lamp_runtime.Deque
   module Pool = Lamp_runtime.Pool
   module Executor = Lamp_runtime.Executor
-  module Metrics = Lamp_runtime.Metrics
 end
 
 module Relational = struct

@@ -1,125 +1,10 @@
 open Lamp_relational
 
-(* The default evaluator compiles the query to a Plan and runs it over
-   the instance's interned view (Index.db): integer comparisons in the
-   inner loop, Valuation.t only materialized at the leaves. The
-   pre-compilation backtracking evaluator is kept, bit-for-bit, as
-   [Reference] — it is the oracle the randomized equivalence suite and
-   the e12 old-vs-new benchmark run against. *)
-
-(* ------------------------------------------------------------------ *)
-(* Reference engine (pre-compiled-plan)                                *)
-
-module Reference = struct
-  (* Greedy join order: start from the smallest relation, then
-     repeatedly pick an atom sharing a variable with the already-bound
-     set (preferring small relations), falling back to the smallest
-     unconnected atom for cartesian products. The chosen atom is
-     removed by position: removing with [List.filter (!=)] dropped all
-     physically shared duplicates of the chosen atom at once, silently
-     skipping their join steps. *)
-  let order_atoms idx atoms =
-    let module Sset = Set.Make (String) in
-    let size a = Index.count idx ~rel:a.Ast.rel in
-    let remove_nth n l = List.filteri (fun i _ -> i <> n) l in
-    let rec pick bound remaining acc =
-      match remaining with
-      | [] -> List.rev acc
-      | _ ->
-        let indexed = List.mapi (fun i a -> (i, a)) remaining in
-        let connected, rest =
-          List.partition
-            (fun (_, a) ->
-              List.exists (fun v -> Sset.mem v bound) (Ast.atom_vars a)
-              || Ast.atom_vars a = [])
-            indexed
-        in
-        let pool = if connected <> [] then connected else rest in
-        let best =
-          List.fold_left
-            (fun best (i, a) ->
-              match best with
-              | None -> Some (i, a)
-              | Some (_, b) -> if size a < size b then Some (i, a) else best)
-            None pool
-        in
-        (match best with
-        | None -> List.rev acc
-        | Some (i, a) ->
-          let bound =
-            List.fold_left (fun s v -> Sset.add v s) bound (Ast.atom_vars a)
-          in
-          pick bound (remove_nth i remaining) (a :: acc))
-    in
-    pick Sset.empty atoms []
-
-  (* Unify a tuple with an atom under a partial valuation. *)
-  let match_tuple valuation (a : Ast.atom) tuple =
-    if Tuple.arity tuple <> List.length a.Ast.terms then None
-    else
-      let rec go i terms valuation =
-        match terms with
-        | [] -> Some valuation
-        | Ast.Const c :: rest ->
-          if Value.equal c tuple.(i) then go (i + 1) rest valuation else None
-        | Ast.Var v :: rest -> (
-          match Valuation.find v valuation with
-          | Some value ->
-            if Value.equal value tuple.(i) then go (i + 1) rest valuation
-            else None
-          | None -> go (i + 1) rest (Valuation.bind v tuple.(i) valuation))
-      in
-      go 0 a.Ast.terms valuation
-
-  (* Candidate tuples for an atom: probe the index on the first bound
-     position, scan the relation when nothing is bound. *)
-  let candidates idx valuation (a : Ast.atom) =
-    let rec bound_pos i = function
-      | [] -> None
-      | Ast.Const c :: _ -> Some (i, c)
-      | Ast.Var v :: rest -> (
-        match Valuation.find v valuation with
-        | Some value -> Some (i, value)
-        | None -> bound_pos (i + 1) rest)
-    in
-    match bound_pos 0 a.Ast.terms with
-    | Some (pos, value) -> Index.lookup idx ~rel:a.Ast.rel ~pos ~value
-    | None -> Index.all idx ~rel:a.Ast.rel
-
-  let fold_valuations_idx q idx f init =
-    let ordered = order_atoms idx (Ast.body q) in
-    let instance = Index.instance idx in
-    let rec go valuation atoms acc =
-      match atoms with
-      | [] ->
-        if
-          Valuation.satisfies_diseq valuation q
-          && Valuation.satisfies_negation valuation q instance
-        then f valuation acc
-        else acc
-      | a :: rest ->
-        List.fold_left
-          (fun acc tuple ->
-            match match_tuple valuation a tuple with
-            | Some valuation -> go valuation rest acc
-            | None -> acc)
-          acc (candidates idx valuation a)
-    in
-    go Valuation.empty ordered init
-
-  let fold_valuations q instance f init =
-    fold_valuations_idx q (Index.create instance) f init
-
-  let eval_idx q idx =
-    fold_valuations_idx q idx
-      (fun v acc -> Instance.add (Valuation.head_fact v q) acc)
-      Instance.empty
-
-  let eval q instance = eval_idx q (Index.create instance)
-end
-
-(* ------------------------------------------------------------------ *)
-(* Compiled-plan engine (default)                                      *)
+(* The evaluator compiles the query to a plan for the selected backend
+   and runs it over the instance's interned view (Plan.Db): integer
+   comparisons in the inner loop, Valuation.t only materialized at the
+   leaves. Every entry point below, and the query service's plan cache,
+   compiles through [prepare]. *)
 
 (* Selectable plan backend: [Binary] is the seed backtracking pipeline
    over compiled {!Plan}s; [Wcoj] is the leapfrog worst-case-optimal
@@ -140,40 +25,33 @@ let strategy_of_string = function
   | "wcoj" -> Ok Wcoj
   | s -> Error (Fmt.str "unknown plan strategy %S (binary|wcoj)" s)
 
-let compile q idx = Plan.make ~counts:(Plan.Db.count (Index.db idx)) q
+(* A query compiled for one backend. Both fold the same Plan.Db column
+   indexes and hand each satisfying register assignment to the
+   callback. The query service keeps one per plan id, so it stays a
+   bare plan, not a record of closures. *)
+type prepared =
+  | Binary_plan of Plan.t
+  | Wcoj_plan of Wcoj.t
 
-let compile_wcoj q idx = Wcoj.make ~counts:(Plan.Db.count (Index.db idx)) q
-
-let fold_valuations_idx ?(strategy = Binary) q idx f init =
-  let db = Index.db idx in
+let prepare ?(strategy = Binary) q db =
+  let counts = Plan.Db.count db in
   match strategy with
-  | Binary ->
-    let plan = compile q idx in
-    Plan.fold plan db (fun regs acc -> f (Plan.valuation plan regs) acc) init
-  | Wcoj ->
-    let plan = compile_wcoj q idx in
-    Wcoj.fold plan db (fun regs acc -> f (Wcoj.valuation plan regs) acc) init
+  | Binary -> Binary_plan (Plan.make ~counts q)
+  | Wcoj -> Wcoj_plan (Wcoj.make ~counts q)
 
-let fold_valuations ?strategy q instance f init =
-  fold_valuations_idx ?strategy q (Index.create instance) f init
+let atom_count = function
+  | Binary_plan p -> Plan.atom_count p
+  | Wcoj_plan w -> Wcoj.atom_count w
 
-let valuations ?strategy q instance =
-  List.rev (fold_valuations ?strategy q instance (fun v acc -> v :: acc) [])
-
-let eval_idx ?(strategy = Binary) q idx =
-  let db = Index.db idx in
+let run prepared db =
   let head_rel, tuples =
-    match strategy with
-    | Binary ->
-      let plan = compile q idx in
-      ( Plan.head_rel plan,
-        Plan.fold plan db (fun regs acc -> Plan.head_tuple plan regs :: acc) []
-      )
-    | Wcoj ->
-      let plan = compile_wcoj q idx in
-      ( Wcoj.head_rel plan,
-        Wcoj.fold plan db (fun regs acc -> Wcoj.head_tuple plan regs :: acc) []
-      )
+    match prepared with
+    | Binary_plan p ->
+      ( Plan.head_rel p,
+        Plan.fold p db (fun regs acc -> Plan.head_tuple p regs :: acc) [] )
+    | Wcoj_plan w ->
+      ( Wcoj.head_rel w,
+        Wcoj.fold w db (fun regs acc -> Wcoj.head_tuple w regs :: acc) [] )
   in
   match tuples with
   | [] -> Instance.empty
@@ -181,12 +59,25 @@ let eval_idx ?(strategy = Binary) q idx =
     Instance.of_tuple_set head_rel
       (Tuple.Set.of_list (List.rev_map Intern.untuple tuples))
 
-let eval ?strategy q instance = eval_idx ?strategy q (Index.create instance)
+let fold_valuations ?strategy q instance f init =
+  let db = Plan.Db.of_instance instance in
+  match prepare ?strategy q db with
+  | Binary_plan p ->
+    Plan.fold p db (fun regs acc -> f (Plan.valuation p regs) acc) init
+  | Wcoj_plan w ->
+    Wcoj.fold w db (fun regs acc -> f (Wcoj.valuation w regs) acc) init
+
+let valuations ?strategy q instance =
+  List.rev (fold_valuations ?strategy q instance (fun v acc -> v :: acc) [])
+
+let eval ?strategy q instance =
+  let db = Plan.Db.of_instance instance in
+  run (prepare ?strategy q db) db
 
 let eval_ucq ?strategy qs instance =
-  let idx = Index.create instance in
+  let db = Plan.Db.of_instance instance in
   List.fold_left
-    (fun acc q -> Instance.union acc (eval_idx ?strategy q idx))
+    (fun acc q -> Instance.union acc (run (prepare ?strategy q db) db))
     Instance.empty qs
 
 let holds ?strategy q instance =

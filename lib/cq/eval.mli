@@ -6,8 +6,7 @@
     index probes — and backtracks over the greedily ordered body with
     integer comparisons only. Negated atoms and inequalities are
     checked once all body variables are bound (safety guarantees they
-    are). The pre-compilation evaluator survives as {!Reference}, the
-    oracle for equivalence tests and old-vs-new benchmarks. *)
+    are). *)
 
 open Lamp_relational
 
@@ -27,14 +26,23 @@ val strategy_name : strategy -> string
 
 val strategy_of_string : string -> (strategy, string) result
 
+type prepared
+(** A query compiled for one backend. {!prepare} reads the database's
+    relation counts as join-order estimates only: what {!run} returns
+    does not depend on them. *)
+
+val prepare : ?strategy:strategy -> Ast.t -> Plan.Db.t -> prepared
+
+val run : prepared -> Plan.Db.t -> Instance.t
+(** [Q(I)] for the database's instance [I]: the set of head facts
+    derived by satisfying valuations. *)
+
+val atom_count : prepared -> int
+(** Number of body atoms in the compiled plan. *)
+
 val fold_valuations :
   ?strategy:strategy -> Ast.t -> Instance.t -> (Valuation.t -> 'a -> 'a) -> 'a -> 'a
 (** Folds over all satisfying valuations of the query. *)
-
-val fold_valuations_idx :
-  ?strategy:strategy -> Ast.t -> Index.t -> (Valuation.t -> 'a -> 'a) -> 'a -> 'a
-(** As {!fold_valuations} over a pre-built index, allowing index reuse
-    across queries on the same instance. *)
 
 val valuations : ?strategy:strategy -> Ast.t -> Instance.t -> Valuation.t list
 (** All satisfying valuations of [q] on the instance. *)
@@ -42,8 +50,6 @@ val valuations : ?strategy:strategy -> Ast.t -> Instance.t -> Valuation.t list
 val eval : ?strategy:strategy -> Ast.t -> Instance.t -> Instance.t
 (** [eval q i] is [Q(I)]: the set of facts derived by satisfying
     valuations. *)
-
-val eval_idx : ?strategy:strategy -> Ast.t -> Index.t -> Instance.t
 
 val eval_ucq : ?strategy:strategy -> Ast.t list -> Instance.t -> Instance.t
 (** Union of the results of the disjuncts. *)
@@ -54,18 +60,3 @@ val holds : ?strategy:strategy -> Ast.t -> Instance.t -> bool
 
 val derives : ?strategy:strategy -> Ast.t -> Instance.t -> Fact.t -> bool
 (** Whether the given head fact is derived on the instance. *)
-
-(** The pre-compiled-plan backtracking evaluator over {!Valuation.t}
-    maps and {!Index} columns, kept as the reference oracle: the
-    randomized equivalence suite asserts [Reference.eval ≡ eval], and
-    the e12 benchmark measures the speedup against it. *)
-module Reference : sig
-  val fold_valuations :
-    Ast.t -> Instance.t -> (Valuation.t -> 'a -> 'a) -> 'a -> 'a
-
-  val fold_valuations_idx :
-    Ast.t -> Index.t -> (Valuation.t -> 'a -> 'a) -> 'a -> 'a
-
-  val eval : Ast.t -> Instance.t -> Instance.t
-  val eval_idx : Ast.t -> Index.t -> Instance.t
-end

@@ -20,23 +20,11 @@ end)
 type t = {
   instance : Instance.t;
   mutable columns : Tuple.t list Value.Map.t Kmap.t;
-  mutable db : Plan.Db.t option;
 }
 
-let create instance = { instance; columns = Kmap.empty; db = None }
+let create instance = { instance; columns = Kmap.empty }
 
 let instance t = t.instance
-
-(* Interned view of the same instance, for the compiled-plan engine.
-   Built on first use so that index reuse across queries (eval_ucq,
-   containment) also shares the interned extents and their indexes. *)
-let db t =
-  match t.db with
-  | Some db -> db
-  | None ->
-    let db = Plan.Db.of_instance t.instance in
-    t.db <- Some db;
-    db
 
 let column t key =
   match Kmap.find_opt key t.columns with

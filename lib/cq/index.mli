@@ -1,5 +1,6 @@
-(** Lazy per-column hash indexes over an instance, used by the CQ
-    evaluator to probe candidate tuples for partially bound atoms. *)
+(** Lazy per-column hash indexes over an instance, used by the
+    value-level evaluators ({!Generic_join}, {!Scale}) to probe
+    candidate tuples for partially bound atoms. *)
 
 open Lamp_relational
 
@@ -7,10 +8,6 @@ type t
 
 val create : Instance.t -> t
 val instance : t -> Instance.t
-
-val db : t -> Plan.Db.t
-(** The interned-tuple view of the same instance, built on first use
-    and cached — the compiled-plan engine ({!Eval}) runs on it. *)
 
 val lookup : t -> rel:string -> pos:int -> value:Value.t -> Tuple.t list
 (** Tuples of [rel] whose column [pos] holds [value]. Builds the column

@@ -60,15 +60,13 @@ let variants recursive r =
        body)
 
 (* ------------------------------------------------------------------ *)
-(* Incremental engine (default)                                        *)
+(* Incremental engine                                                  *)
 
 (* Both strategies run every stratum over ONE interned Plan.Db that
    lives for the whole evaluation: each round's derivations are
    appended (with O(1) duplicate detection), and the per-column hash
    indexes extend over the appended delta instead of being recreated
-   per rule per iteration — the asymptotic leak of the instance-based
-   engine below, which rebuilt a full index of the entire database for
-   every rule variant in every round. *)
+   per rule per iteration. *)
 
 (* Evaluate each rule with a plan compiled against current relation
    counts, adding each derivation to [db] the moment it is found: only
@@ -223,67 +221,3 @@ let run ?(strategy = Seminaive) ?job program instance =
 let query ?strategy ?job program ~output instance =
   let db = run ?strategy ?job program instance in
   Instance.filter (fun f -> Fact.rel f = output) db
-
-(* ------------------------------------------------------------------ *)
-(* Reference engine (pre-interning, instance-based)                    *)
-
-(* The engine this PR replaced, kept verbatim on Eval.Reference so the
-   equivalence suite and the e12 benchmark can compare against it: a
-   full Index.create per rule (variant) per iteration, persistent-set
-   unions everywhere. *)
-
-let naive_fixpoint_ref rules db =
-  let rec iterate db =
-    let additions =
-      List.fold_left
-        (fun acc r -> Instance.union acc (Eval.Reference.eval r db))
-        Instance.empty rules
-    in
-    if Instance.subset additions db then db
-    else iterate (Instance.union db additions)
-  in
-  iterate db
-
-let seminaive_fixpoint_ref rules db =
-  let recursive = recursive_heads rules in
-  let rule_variants = List.map (fun r -> (r, variants recursive r)) rules in
-  let rename_delta delta =
-    Instance.fold
-      (fun f acc ->
-        Instance.add (Fact.make (delta_prefix ^ Fact.rel f) (Fact.args f)) acc)
-      delta Instance.empty
-  in
-  let initial =
-    List.fold_left
-      (fun acc r -> Instance.union acc (Eval.Reference.eval r db))
-      Instance.empty rules
-  in
-  let rec iterate total delta =
-    if Instance.is_empty delta then total
-    else begin
-      let view = Instance.union total (rename_delta delta) in
-      let additions =
-        List.fold_left
-          (fun acc (_, vs) ->
-            List.fold_left
-              (fun acc v -> Instance.union acc (Eval.Reference.eval v view))
-              acc vs)
-          Instance.empty rule_variants
-      in
-      let fresh = Instance.diff additions total in
-      iterate (Instance.union total fresh) fresh
-    end
-  in
-  iterate (Instance.union db initial) (Instance.diff initial db)
-
-let run_reference ?(strategy = Seminaive) program instance =
-  let db =
-    if Program.uses_adom program then materialize_adom instance else instance
-  in
-  let layers = Stratify.layers program in
-  let fixpoint =
-    match strategy with
-    | Naive -> naive_fixpoint_ref
-    | Seminaive -> seminaive_fixpoint_ref
-  in
-  List.fold_left (fun db rules -> fixpoint rules db) db layers

@@ -9,8 +9,7 @@
     Both strategies run on one interned {!Lamp_cq.Plan.Db} that
     persists across rounds and strata: each round's delta is appended
     and the hash indexes extend incrementally instead of being rebuilt
-    per rule per iteration. The previous instance-based engine is kept
-    as {!run_reference} for equivalence tests and benchmarks. *)
+    per rule per iteration. *)
 
 open Lamp_relational
 
@@ -50,9 +49,3 @@ val query :
   Instance.t ->
   Instance.t
 (** [run] restricted to one output relation. *)
-
-val run_reference : ?strategy:strategy -> Program.t -> Instance.t -> Instance.t
-(** The pre-interning engine (a fresh index of the whole database per
-    rule per iteration, over {!Lamp_cq.Eval.Reference}): computes the
-    same model as {!run}; kept as the oracle for equivalence tests and
-    the old-vs-new e12 benchmark. *)

@@ -9,9 +9,10 @@
     executor may interleave tasks arbitrarily and every task still draws
     the same faults as the sequential one.
 
-    [none] is the distinguished empty plan: consumers test {!is_none}
-    and dispatch to their untouched fault-free code path, so fault
-    injection that is off costs nothing. *)
+    [none] is the distinguished empty plan: every decision it makes is
+    a constant — no crash, every message delivered, no stall, no
+    transient failure — so [Mpc.Cluster] runs one round body with or
+    without faults. *)
 
 type spec = {
   crash : float;  (** Per-round, per-server crash-stop probability. *)
@@ -79,8 +80,9 @@ val pp : t Fmt.t
 val draw : seed:int -> label:int -> int -> int -> int -> float
 (** The raw deterministic draw underlying every decision: a uniform
     float in [0, 1) that is a pure function of [(seed, label, a, b, c)].
-    Exposed so sibling fault models ({!Net}) share one mixer; label
-    spaces must not overlap (Plan uses 1–7, Net uses 100+). *)
+    Exposed so every seeded draw in lamp shares one mixer; label spaces
+    must not overlap (Plan uses 1–7, {!Net} 100+, {!Disk} 200+, the
+    retry backoff jitter of [Runtime.Executor] 300). *)
 
 (** {1 Deterministic decisions} *)
 

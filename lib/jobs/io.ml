@@ -29,9 +29,7 @@ type t = {
   counts : (string, int) Hashtbl.t;
 }
 
-let make plan = { plan; lock = Mutex.create (); counts = Hashtbl.create 8 }
-let real () = make Disk.none
-let inject plan = make plan
+let create plan = { plan; lock = Mutex.create (); counts = Hashtbl.create 8 }
 let plan t = t.plan
 
 let count t kind =
@@ -109,9 +107,8 @@ let write_raw ?(fsync = true) path contents prefix_len =
 (* Injection points. *)
 
 let faults_for t = function
-  | Some { job; round; _ } when not (Disk.is_none t.plan) ->
-    Disk.save t.plan ~job ~round
-  | _ -> Disk.no_save_faults
+  | Some { job; round; _ } -> Disk.save t.plan ~job ~round
+  | None -> Disk.no_save_faults
 
 let write_tmp t ?ctx ~path contents =
   let faults = faults_for t ctx in

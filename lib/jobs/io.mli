@@ -1,14 +1,13 @@
 (** The filesystem shim every disk access of {!Store} goes through.
 
-    [real] is a transparent passthrough with the full fsync
+    Without a plan it is a transparent passthrough with the full fsync
     discipline: slot bytes are fsynced before the rename and the
     containing directory after it, so a power loss can no longer
-    resurrect the old slot or leave an empty one. [inject] wraps the
-    same operations in a {!Lamp_faults.Disk} plan: torn writes,
-    lost renames, bit rot, short slots, [ENOSPC] and stale tmp litter
-    fire deterministically at the plan's drawn coordinates, against
-    real files — so the recovery path is exercised by the actual
-    syscall sequence, not a mock.
+    resurrect the old slot or leave an empty one. Under a
+    {!Lamp_faults.Disk} plan, torn writes, lost renames, bit rot, short
+    slots, [ENOSPC] and stale tmp litter fire deterministically at the
+    plan's drawn coordinates, against real files — so the recovery path
+    is exercised by the actual syscall sequence, not a mock.
 
     Injection applies only to slot saves carrying a {!ctx} (a job's
     checkpoint write); recovery writes — promoting a fallback
@@ -44,12 +43,9 @@ type ctx = {
 
 type t
 
-val real : unit -> t
-(** The passthrough shim: no plan, nothing injected. *)
-
-val inject : Lamp_faults.Disk.t -> t
-(** A shim applying the plan's decisions. [inject Disk.none] behaves
-    as {!real}. *)
+val create : Lamp_faults.Disk.t -> t
+(** A shim applying the plan's decisions; [create Disk.none] is the
+    passthrough, injecting nothing. *)
 
 val plan : t -> Lamp_faults.Disk.t
 

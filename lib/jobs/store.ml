@@ -72,7 +72,7 @@ let on_disk ?(faults = Disk_plan.none) dir =
   let d =
     {
       dir;
-      io = (if Disk_plan.is_none faults then Io.real () else Io.inject faults);
+      io = Io.create faults;
       gens = Hashtbl.create 8;
       clean = Hashtbl.create 8;
       swept = 0;
@@ -374,7 +374,7 @@ let fsck ?(repair = false) dir =
     let promote base =
       let tmp = Filename.concat dir (base ^ ".tmp") in
       let raw = Io.read_file (Filename.concat dir (base ^ ".prev")) in
-      let io = Io.real () in
+      let io = Io.create Disk_plan.none in
       Io.write_tmp io ~path:tmp raw;
       ignore (Io.replace io ~tmp ~dst:(Filename.concat dir base) ())
     in

@@ -1,6 +1,5 @@
 open Lamp_relational
 module Executor = Lamp_runtime.Executor
-module Metrics = Lamp_runtime.Metrics
 module Trace = Lamp_obs.Trace
 module Sketch = Lamp_obs.Sketch
 module Plan = Lamp_faults.Plan
@@ -228,95 +227,14 @@ let bad_destination ~p ~src ~dst fact =
    The sequential backend runs the same three phases inline, hence
    bit-identical statistics between backends. Tracing, when on, only
    reads what the phases produced — the invariant is that a traced run
-   and an untraced one yield bit-identical [Stats.t] and locals. *)
-let run_round_clean t round =
-  let tracing = Trace.is_enabled () in
-  let metering = Metrics.is_enabled () in
-  let round_no = List.length t.round_stats + 1 in
-  let before = Executor.counters t.executor in
-  let t0 = if metering then Metrics.now () else 0.0 in
-  let nw = Executor.workers t.executor in
-  let outboxes =
-    Array.init nw (fun _ -> Array.make t.p ([] : Fact.t list))
-  in
-  let bad_dest = Array.make t.p None in
-  let sent = if tracing then Array.make t.p 0 else [||] in
-  Trace.span ~cat:"mpc"
-    ~args:[ ("round", Trace.Int round_no); ("p", Trace.Int t.p) ]
-    "mpc.communicate" (fun () ->
-      Executor.parallel_for t.executor ~n:t.p (fun ~worker src ->
-          let buckets = outboxes.(worker) in
-          let msgs = round.communicate src t.locals.(src) in
-          if tracing then sent.(src) <- List.length msgs;
-          List.iter
-            (fun (dst, fact) ->
-              if dst < 0 || dst >= t.p then begin
-                if bad_dest.(src) = None then bad_dest.(src) <- Some (dst, fact)
-              end
-              else buckets.(dst) <- fact :: buckets.(dst))
-            msgs));
-  Array.iteri
-    (fun src bad ->
-      match bad with
-      | Some (dst, fact) -> raise (bad_destination ~p:t.p ~src ~dst fact)
-      | None -> ())
-    bad_dest;
-  let received =
-    Trace.span ~cat:"mpc"
-      ~args:[ ("round", Trace.Int round_no) ]
-      "mpc.merge" (fun () ->
-        Executor.map_array t.executor ~n:t.p (fun dst ->
-            let facts = ref [] in
-            for w = nw - 1 downto 0 do
-              facts := List.rev_append outboxes.(w).(dst) !facts
-            done;
-            Instance.of_facts !facts))
-  in
-  let max_received =
-    Array.fold_left (fun acc i -> max acc (Instance.cardinal i)) 0 received
-  in
-  let total_received =
-    Array.fold_left (fun acc i -> acc + Instance.cardinal i) 0 received
-  in
-  t.round_stats <-
-    { Stats.max_received; total_received } :: t.round_stats;
-  if Sketch.is_enabled () then
-    sketch_round t ~round_no ~received ~max_received ~total_received;
-  if tracing then begin
-    (* Messages shipped to each destination, duplicates included —
-       [received] counts distinct facts after the inbox set union. *)
-    let shipped = Array.make t.p 0 in
-    Array.iter
-      (fun buckets ->
-        Array.iteri
-          (fun dst msgs -> shipped.(dst) <- shipped.(dst) + List.length msgs)
-          buckets)
-      outboxes;
-    emit_round_trace t ~round_no ~sent ~shipped ~received ~max_received
-      ~total_received
-  end;
-  t.locals <-
-    Trace.span ~cat:"mpc"
-      ~args:[ ("round", Trace.Int round_no) ]
-      "mpc.compute" (fun () ->
-        Executor.map_array t.executor ~n:t.p (fun i ->
-            round.compute i ~received:received.(i) ~previous:t.locals.(i)));
-  if metering then begin
-    let after = Executor.counters t.executor in
-    Metrics.record ~t0
-      {
-        Metrics.label = Fmt.str "round %d/p=%d" round_no t.p;
-        wall_s = Metrics.now () -. t0;
-        tasks = after.Executor.tasks - before.Executor.tasks;
-        steals = after.Executor.steals - before.Executor.steals;
-      }
-  end
+   and an untraced one yield bit-identical [Stats.t] and locals; the
+   round's wall clock and the executor's task and steal counts go to a
+   [runtime] span.
 
-(* ------------------------------------------------------------------ *)
-(* The faulty round. Same three phases, but the plan may crash-stop
-   servers for the round, drop/duplicate/delay/reorder messages, stall
-   tasks and make them transiently fail. Recovery restores the clean
-   round's outcome within the same round:
+   The cluster's fault plan may crash-stop servers for the round,
+   drop/duplicate/delay/reorder messages, stall tasks and make them
+   transiently fail. Recovery restores the fault-free outcome within
+   the same round:
 
    - [checkpoint] snapshots every server's local at the round start
      (instances are persistent, so a shallow array copy suffices) —
@@ -332,19 +250,21 @@ let run_round_clean t round =
      {!Executor.with_retry}; plans inject fewer failures than the
      retry budget, so tasks always eventually succeed.
 
-   Every clean-run message therefore reaches the final merged inbox at
-   least once and nothing else does, so [received] — and with it
+   Every message of the fault-free run therefore reaches the final
+   merged inbox at least once and nothing else does, so [received] — and with it
    [Stats.rounds], the computed locals and the final output — is
    bit-identical to the fault-free run. All repair traffic is accounted
    separately in [Stats.recoveries]. Fault decisions are pure functions
    of (seed, coordinates), so the pool backend draws exactly the same
-   faults as the sequential one. *)
-let run_round_faulty t plan round =
+   faults as the sequential one; under [Plan.none] every decision is a
+   constant (no crash, every message delivered, no stall or failure)
+   and the recovery wave is empty. *)
+let run_round t round =
+  let plan = t.faults in
   let tracing = Trace.is_enabled () in
-  let metering = Metrics.is_enabled () in
   let round_no = List.length t.round_stats + 1 in
   let before = Executor.counters t.executor in
-  let t0 = if metering then Metrics.now () else 0.0 in
+  let t0 = if tracing then Trace.now () else 0.0 in
   let nw = Executor.workers t.executor in
   let checkpoint = Array.copy t.locals in
   let crashed =
@@ -566,6 +486,8 @@ let run_round_faulty t plan round =
       "mpc.recovery"
   end;
   if tracing then begin
+    (* Messages shipped to each destination, duplicates included —
+       [received] counts distinct facts after the inbox set union. *)
     let shipped = Array.make t.p 0 in
     Array.iter
       (fun buckets ->
@@ -592,22 +514,17 @@ let run_round_faulty t plan round =
                   if crashed.(i) then checkpoint.(i) else t.locals.(i)
                 in
                 round.compute i ~received:received.(i) ~previous)));
-  if metering then begin
+  if tracing then begin
     let after = Executor.counters t.executor in
-    Metrics.record ~t0
-      {
-        Metrics.label = Fmt.str "round %d/p=%d (faulty)" round_no t.p;
-        wall_s = Metrics.now () -. t0;
-        tasks = after.Executor.tasks - before.Executor.tasks;
-        steals = after.Executor.steals - before.Executor.steals;
-      }
+    Trace.emit_span ~cat:"runtime"
+      ~args:
+        [
+          ("tasks", Trace.Int (after.tasks - before.tasks));
+          ("steals", Trace.Int (after.steals - before.steals));
+        ]
+      ~name:(Fmt.str "round %d/p=%d" round_no t.p)
+      ~t0 ~dur:(Trace.now () -. t0) ()
   end
-
-(* Fault injection off costs nothing: the clean path above is exactly
-   the pre-faults code. *)
-let run_round t round =
-  if Plan.is_none t.faults then run_round_clean t round
-  else run_round_faulty t t.faults round
 
 let stats t =
   {

@@ -64,7 +64,10 @@ val union_all : t -> Instance.t
 val run_round : t -> round -> unit
 (** Executes one round and records its load. Destinations are validated
     during the outbox fan-out: a message outside [0 .. p - 1] aborts the
-    round before any state or statistic is updated.
+    round before any state or statistic is updated. When tracing is on,
+    the round records one span of category ["runtime"] named
+    ["round N/p=P"], with its wall clock and the executor's [tasks] and
+    [steals] deltas as args.
 
     Under a fault plan, the round additionally checkpoints every
     server's local at the round start, crash-stops the plan's chosen

@@ -443,16 +443,21 @@ let parse_openmetrics text =
   in
   String.split_on_char '\n' text |> List.filter_map parse_line
 
-(* The cumulative buckets of histogram [name], sorted by upper bound. *)
+(* The cumulative buckets of histogram [name], sorted by upper bound;
+   a bucket whose [le] is not a number is dropped like any other
+   malformed line. *)
 let buckets samples name =
   let bucket = name ^ "_bucket" in
+  let bound = function
+    | "+Inf" -> Some infinity
+    | le -> float_of_string_opt le
+  in
   List.filter_map
     (fun (n, labels, v) ->
       if String.equal n bucket then
         Option.map
-          (fun le ->
-            ((if le = "+Inf" then infinity else float_of_string le), v))
-          (List.assoc_opt "le" labels)
+          (fun le -> (le, v))
+          (Option.bind (List.assoc_opt "le" labels) bound)
       else None)
     samples
   |> List.sort compare

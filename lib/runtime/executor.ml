@@ -112,22 +112,9 @@ end
 let retry_counter = Lamp_obs.Trace.counter "runtime.retries"
 let speculation_counter = Lamp_obs.Trace.counter "runtime.speculations"
 
-(* splitmix64-style mixer for the deterministic backoff jitter; local
-   so lamp.runtime does not depend on lamp.faults. *)
-let mix64 z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
-  logxor z (shift_right_logical z 31)
-
-let unit_float ~seed k =
-  let h =
-    mix64
-      (Int64.add
-         (Int64.mul (Int64.of_int seed) 0x9e3779b97f4a7c15L)
-         (Int64.of_int k))
-  in
-  Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0
+(* Draw label of the backoff jitter, outside the fault models' label
+   spaces (see [Lamp_faults.Plan.draw]). *)
+let jitter_label = 300
 
 let exponential_backoff ?(base = 0.001) ?(factor = 2.0) ?(max_delay = 0.1)
     ?(jitter = 0.5) ~seed () =
@@ -136,7 +123,8 @@ let exponential_backoff ?(base = 0.001) ?(factor = 2.0) ?(max_delay = 0.1)
   fun attempt ->
     let raw = base *. (factor ** float_of_int (attempt - 1)) in
     let capped = Float.min raw max_delay in
-    capped *. (1.0 +. (jitter *. unit_float ~seed attempt))
+    let u = Lamp_faults.Plan.draw ~seed ~label:jitter_label attempt 0 0 in
+    capped *. (1.0 +. (jitter *. u))
 
 let with_retry ?(max_attempts = 4) ?(backoff = ignore) ?delay ?budget
     ?(hint = fun (_ : exn) -> None) ~retryable f =

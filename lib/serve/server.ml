@@ -2,10 +2,7 @@ module Trace = Lamp_obs.Trace
 module Metrics = Lamp_obs.Metrics
 module Export = Lamp_obs.Export
 module Instance = Lamp_relational.Instance
-module Intern = Lamp_relational.Intern
-module Tuple = Lamp_relational.Tuple
 module Plan = Lamp_cq.Plan
-module Wcoj = Lamp_cq.Wcoj
 module Eval = Lamp_cq.Eval
 module Parser = Lamp_cq.Parser
 module Ast = Lamp_cq.Ast
@@ -60,23 +57,12 @@ type inst = {
   mutable handle : Plan.Db.t option;
 }
 
-(* A prepared plan, compiled for whichever backend the server was
-   configured with; both fold the same column indexes and produce the
-   same head-tuple set. *)
-type compiled =
-  | Pbinary of Plan.t
-  | Pwcoj of Wcoj.t
-
 type plan_entry = {
   pe_id : int;
   pe_instance : string;
   pe_ast : Ast.t;
-  pe_plan : compiled;
+  pe_plan : Eval.prepared;
 }
-
-let compiled_atoms = function
-  | Pbinary p -> Plan.atom_count p
-  | Pwcoj w -> Wcoj.atom_count w
 
 type t = {
   config : config;
@@ -352,10 +338,7 @@ let prepare_plan t inst ~instance ast =
   let key = fingerprint ~instance ast in
   Cache.find_or_add t.plan_cache key (fun () ->
       let plan =
-        with_handle inst (fun db ->
-            match t.config.strategy with
-            | Eval.Binary -> Pbinary (Plan.make ~counts:(Plan.Db.count db) ast)
-            | Eval.Wcoj -> Pwcoj (Wcoj.make ~counts:(Plan.Db.count db) ast))
+        with_handle inst (Eval.prepare ~strategy:t.config.strategy ast)
       in
       let id =
         Mutex.protect t.lock (fun () ->
@@ -379,36 +362,13 @@ let resolve_plan t inst ~instance = function
        clients that never Prepare hit compiled plans. *)
     fst (prepare_plan t inst ~instance (parse_query q))
 
-(* Mirrors Cq.Eval.eval_idx: fold the compiled plan, then build the
-   result instance from the head-tuple set — byte-for-byte the library
-   result, whichever backend the plan was compiled for. *)
-let eval_local entry db =
-  let rel, tuples =
-    match entry.pe_plan with
-    | Pbinary plan ->
-      ( Plan.head_rel plan,
-        Plan.fold plan db
-          (fun regs acc -> Plan.head_tuple plan regs :: acc)
-          [] )
-    | Pwcoj plan ->
-      ( Wcoj.head_rel plan,
-        Wcoj.fold plan db
-          (fun regs acc -> Wcoj.head_tuple plan regs :: acc)
-          [] )
-  in
-  match tuples with
-  | [] -> Instance.empty
-  | _ ->
-    Instance.of_tuple_set rel
-      (Tuple.Set.of_list (List.rev_map Intern.untuple tuples))
-
 let execute t ~instance plan_ref mode =
   let inst = get_inst t instance in
   with_engine t (fun () ->
       match mode with
       | Wire.Local ->
         let entry = resolve_plan t inst ~instance plan_ref in
-        let result = with_handle inst (eval_local entry) in
+        let result = with_handle inst (Eval.run entry.pe_plan) in
         (result, None)
       | Wire.Hypercube { p } ->
         if p < 1 then bad "hypercube: p must be >= 1";
@@ -638,7 +598,7 @@ let handle_request t fd client req =
                   {
                     id = entry.pe_id;
                     cached;
-                    atoms = compiled_atoms entry.pe_plan;
+                    atoms = Eval.atom_count entry.pe_plan;
                   }))
        | Execute { instance; plan; mode } ->
          shed_check t;

@@ -2,11 +2,14 @@
    compiled-plan CQ evaluator against both the pre-interning reference
    evaluator and an independent brute-force oracle, and the incremental
    Datalog fixpoint against the instance-based reference engine —
-   across negation, disequalities, constants and duplicate atoms. *)
+   across negation, disequalities, constants and duplicate atoms. The
+   reference engines live in the test-only [lamp_oracle] library. *)
 
 open Lamp_relational
 open Lamp_cq
 module Dl = Lamp_datalog
+module Cq_reference = Lamp_oracle.Cq_reference
+module Datalog_reference = Lamp_oracle.Datalog_reference
 
 let instance = Alcotest.testable Instance.pp Instance.equal
 let parse = Parser.query
@@ -178,7 +181,7 @@ let small_instance_arb =
 let prop_compiled_matches_reference =
   QCheck.Test.make ~name:"compiled CQ eval = reference eval" ~count:400
     (QCheck.pair cq_arb small_instance_arb)
-    (fun (q, db) -> Instance.equal (Eval.eval q db) (Eval.Reference.eval q db))
+    (fun (q, db) -> Instance.equal (Eval.eval q db) (Cq_reference.eval q db))
 
 let prop_compiled_matches_brute_force =
   QCheck.Test.make ~name:"compiled CQ eval = brute force" ~count:200
@@ -190,14 +193,11 @@ let prop_valuations_match =
     (QCheck.pair cq_arb small_instance_arb)
     (fun (q, db) ->
       let sort vs = List.sort Valuation.compare vs in
-      let via_fold fold =
-        let idx = Index.create db in
-        sort (fold q idx (fun v acc -> v :: acc) [])
-      in
+      let via_fold fold = sort (fold q db (fun v acc -> v :: acc) []) in
       List.equal
         (fun a b -> Valuation.compare a b = 0)
-        (via_fold Eval.fold_valuations_idx)
-        (via_fold Eval.Reference.fold_valuations_idx))
+        (via_fold Eval.fold_valuations)
+        (via_fold Cq_reference.fold_valuations))
 
 (* ------------------------------------------------------------------ *)
 (* Worst-case-optimal backend: Wcoj ≡ binary ≡ Generic_join            *)
@@ -229,9 +229,7 @@ let prop_wcoj_valuations_match =
     (fun (q, db) ->
       let sort vs = List.sort Valuation.compare vs in
       let via strategy =
-        let idx = Index.create db in
-        sort
-          (Eval.fold_valuations_idx ~strategy q idx (fun v acc -> v :: acc) [])
+        sort (Eval.fold_valuations ~strategy q db (fun v acc -> v :: acc) [])
       in
       List.equal
         (fun a b -> Valuation.compare a b = 0)
@@ -308,7 +306,7 @@ let test_duplicate_atom_plan () =
   Alcotest.(check int) "both duplicates kept" 2 (Plan.atom_count (Plan.make q));
   let db = Instance.of_string "R(1,2). R(2,3)." in
   Alcotest.check instance "duplicate-atom eval"
-    (Eval.Reference.eval q db) (Eval.eval q db)
+    (Cq_reference.eval q db) (Eval.eval q db)
 
 let test_duplicate_atom_distinct_vars () =
   (* Same relation twice with different variables must survive too. *)
@@ -316,14 +314,14 @@ let test_duplicate_atom_distinct_vars () =
   Alcotest.(check int) "two steps" 2 (Plan.atom_count (Plan.make q));
   let db = Instance.of_string "R(1,2). R(2,3). R(3,1)." in
   Alcotest.check instance "composition"
-    (Eval.Reference.eval q db) (Eval.eval q db)
+    (Cq_reference.eval q db) (Eval.eval q db)
 
 (* ------------------------------------------------------------------ *)
 (* Datalog: incremental engine vs reference engine                     *)
 
 let check_program ?(strategies = [ Dl.Eval.Naive; Dl.Eval.Seminaive ]) program db
     =
-  let expect = Dl.Eval.run_reference program db in
+  let expect = Datalog_reference.run program db in
   List.iter
     (fun strategy ->
       Alcotest.check instance "vs reference"
@@ -386,7 +384,7 @@ let prop_datalog_random_stratified =
       let program = Dl.Program.parse text in
       let rng = Random.State.make [| seed |] in
       let g = Generate.random_graph ~rng ~nodes ~edges () in
-      let expect = Dl.Eval.run_reference program g in
+      let expect = Datalog_reference.run program g in
       Instance.equal expect (Dl.Eval.run ~strategy:Dl.Eval.Naive program g)
       && Instance.equal expect
            (Dl.Eval.run ~strategy:Dl.Eval.Seminaive program g))

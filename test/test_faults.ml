@@ -347,6 +347,46 @@ let test_zero_fault_plan_noop () =
   Alcotest.(check bool) "no recoveries recorded" true
     (stats.Stats.recoveries = [])
 
+(* Every algorithm at Plan.none on the sequential backend, pinned by
+   digests of its rendered output and Stats.t. The digests were
+   recorded while fault-free rounds still ran on a separate code path,
+   so they show that the one remaining round body reproduces that
+   path's results. *)
+let pinned_none =
+  [
+    ("repartition", "73f1165849d348a1dea7889d373cc2c8",
+     "f6488edf738193031db33a228f50a270");
+    ("grid", "73f1165849d348a1dea7889d373cc2c8",
+     "f71d74f51630d7d307f90fc18407cf82");
+    ("hypercube", "1b543f44e5585ef5fec707b18f5cc698",
+     "38efef176cc0c36143e316471e5ddeb9");
+    ("cascade", "3cb9a2b81806e944892c57206861b627",
+     "d576c1bdfd53068f32b3e7e44a75195c");
+    ("skew-resilient", "8b4aa449cc3f69605765b2dcc27983b0",
+     "c8c237a96d523e292b66026d326c640f");
+    ("gym", "d3b4b2e8bbcbd0a612cdd23c2109143f",
+     "e0b82a5c2d531fceb166b06de9d861b4");
+    ("gym-ghd", "3cb9a2b81806e944892c57206861b627",
+     "2eed56146f07ca4f2c62370eaba72184");
+    ("kst", "8b4aa449cc3f69605765b2dcc27983b0",
+     "226cda13a3b5abf8af4bb25ede949d9d");
+  ]
+
+let test_none_pinned () =
+  let hex s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check (list string)) "every algorithm pinned"
+    (List.map fst algorithms)
+    (List.map (fun (name, _, _) -> name) pinned_none);
+  List.iter
+    (fun (name, want_out, want_stats) ->
+      let run = List.assoc name algorithms in
+      let out, stats = run ~executor:Executor.sequential ~faults:Plan.none in
+      Alcotest.(check string) (name ^ " output digest") want_out
+        (hex (Fmt.str "%a" Instance.pp out));
+      Alcotest.(check string) (name ^ " stats digest") want_stats
+        (hex (Fmt.str "%a" Stats.pp stats)))
+    pinned_none
+
 let test_total_crash_recovers () =
   let plan = Plan.make ~seed:4 { Plan.zero with crash = 1.0 } in
   let i = Workload.join_skew_free ~m:60 in
@@ -611,6 +651,8 @@ let () =
         [
           Alcotest.test_case "zero-fault plan is a no-op" `Quick
             test_zero_fault_plan_noop;
+          Alcotest.test_case "Plan.none output and stats pinned" `Quick
+            test_none_pinned;
           Alcotest.test_case "total crash recovers" `Quick
             test_total_crash_recovers;
           Alcotest.test_case "gym analytic crashes" `Quick

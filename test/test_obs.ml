@@ -146,42 +146,6 @@ let test_reset_clears () =
   Alcotest.(check int) "handle survives reset" 1 (Trace.value c)
 
 (* ------------------------------------------------------------------ *)
-(* Metrics shim                                                        *)
-
-let test_metrics_multidomain () =
-  Metrics.reset ();
-  Metrics.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.set_enabled false;
-      Metrics.reset ())
-    (fun () ->
-      let pool = Pool.create ~domains:4 () in
-      let ex = Executor.pool pool in
-      Executor.parallel_for ex ~n:32 (fun ~worker:_ k ->
-          Metrics.record
-            {
-              Metrics.label = Printf.sprintf "t%d" k;
-              wall_s = 0.001;
-              tasks = 1;
-              steals = 0;
-            });
-      Pool.shutdown pool;
-      let s = Metrics.summary () in
-      Alcotest.(check int) "records from worker domains kept" 32 s.Metrics.rounds;
-      Alcotest.(check int) "tasks summed" 32 s.Metrics.total_tasks)
-
-let test_metrics_forwards_to_trace () =
-  Trace.set_enabled true;
-  Alcotest.(check bool)
-    "tracing alone turns metering on" true (Metrics.is_enabled ());
-  Metrics.record
-    { Metrics.label = "fwd"; wall_s = 0.001; tasks = 3; steals = 1 };
-  Alcotest.(check (list string)) "forwarded as a span" [ "fwd" ] (span_names ());
-  Alcotest.(check int)
-    "summary store untouched (own flag off)" 0 (Metrics.summary ()).Metrics.rounds
-
-(* ------------------------------------------------------------------ *)
 (* Determinism: tracing may never change results or statistics         *)
 
 let tri_workload () =
@@ -232,6 +196,55 @@ let test_determinism_datalog () =
            | Trace.Instant { name = "datalog.iteration"; _ } -> true
            | _ -> false)
          (Trace.events ()))
+
+(* ------------------------------------------------------------------ *)
+(* Runtime spans: one per MPC round, carrying the executor's counters   *)
+
+let runtime_spans () =
+  List.filter_map
+    (function
+      | Trace.Span { cat = "runtime"; name; args; _ } -> Some (name, args)
+      | _ -> None)
+    (Trace.events ())
+
+let test_round_span () =
+  let pool = Pool.create ~domains:4 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      let executor = Executor.pool pool in
+      ignore (run_hc executor);
+      Alcotest.(check int) "no runtime span with tracing off" 0
+        (List.length (runtime_spans ()));
+      Trace.set_enabled true;
+      let before = Executor.counters executor in
+      ignore (run_hc executor);
+      let after = Executor.counters executor in
+      Trace.set_enabled false;
+      match runtime_spans () with
+      | [ (name, args) ] ->
+        Alcotest.(check string) "one round" "round 1/p=8" name;
+        Alcotest.(check bool) "tasks = executor delta" true
+          (List.assoc_opt "tasks" args
+          = Some (Trace.Int (after.tasks - before.tasks)));
+        Alcotest.(check bool) "steals = executor delta" true
+          (List.assoc_opt "steals" args
+          = Some (Trace.Int (after.steals - before.steals)))
+      | spans ->
+        Alcotest.failf "expected one runtime span, got %d" (List.length spans))
+
+let test_emit_span_multidomain () =
+  Trace.set_enabled true;
+  let pool = Pool.create ~domains:4 () in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      Executor.parallel_for (Executor.pool pool) ~n:32 (fun ~worker:_ k ->
+          Trace.emit_span ~cat:"runtime" ~name:(Printf.sprintf "t%d" k)
+            ~t0:(Trace.now ()) ~dur:0.001 ()));
+  Alcotest.(check (list string)) "spans from every task kept"
+    (List.sort compare (List.init 32 (Printf.sprintf "t%d")))
+    (List.sort compare (span_names ()))
 
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                           *)
@@ -619,11 +632,13 @@ let test_openmetrics_roundtrip () =
 
 (* Two scrapes of one histogram. Only non-empty buckets are exported,
    so the newer scrape has bounds (2, 8) the older lacks: the window
-   holds three observations in (1, 2] and one in (4, 8]. *)
+   holds three observations in (1, 2] and one in (4, 8]. A bucket whose
+   bound is not a number is dropped, not raised on. *)
 let test_window_quantiles () =
   let older =
     Export.parse_openmetrics
       "lamp_t_us_bucket{le=\"1\"} 5\n\
+       lamp_t_us_bucket{le=\"abc\"} 2\n\
        lamp_t_us_bucket{le=\"4\"} 7\n\
        lamp_t_us_bucket{le=\"+Inf\"} 7\n\
        lamp_t_us_count 7\n"
@@ -632,6 +647,7 @@ let test_window_quantiles () =
     Export.parse_openmetrics
       "lamp_t_us_bucket{le=\"1\"} 5\n\
        lamp_t_us_bucket{le=\"2\"} 8\n\
+       lamp_t_us_bucket{le=\"abc\"} 2\n\
        lamp_t_us_bucket{le=\"4\"} 10\n\
        lamp_t_us_bucket{le=\"8\"} 11\n\
        lamp_t_us_bucket{le=\"+Inf\"} 11\n\
@@ -682,12 +698,11 @@ let () =
           Alcotest.test_case "percentiles" `Quick (clean test_percentiles);
           Alcotest.test_case "reset" `Quick (clean test_reset_clears);
         ] );
-      ( "metrics-shim",
+      ( "runtime-spans",
         [
-          Alcotest.test_case "multi-domain records" `Quick
-            (clean test_metrics_multidomain);
-          Alcotest.test_case "forwards to trace" `Quick
-            (clean test_metrics_forwards_to_trace);
+          Alcotest.test_case "traced round span" `Quick (clean test_round_span);
+          Alcotest.test_case "emit_span across domains" `Quick
+            (clean test_emit_span_multidomain);
         ] );
       ( "determinism",
         [
