@@ -476,19 +476,26 @@ module Db = struct
     Hashtbl.replace t.rels rel s;
     List.iter (fun tup -> ignore (add_store s tup)) tuples
 
-  let of_instance instance =
-    let t = create () in
+  let extend t instance =
     List.iter
       (fun rel ->
         let s = store t rel in
-        (* Set members are distinct: load without duplicate structures
-           ([dedup] false); the first [add]/[mem] on this store — if
-           one ever comes — replays the extent into them. *)
+        (* Set members are distinct and, by contract, absent from [t]:
+           an empty store loads without duplicate structures ([dedup]
+           false) and the first [add]/[mem] on it — if one ever comes —
+           replays the extent into them. A store that already has them
+           records each appended tuple there too. *)
+        if s.n = 0 then s.dedup <- false;
         Tuple.Set.iter
-          (fun tup -> append s (Intern.tuple tup))
-          (Instance.tuples instance rel);
-        s.dedup <- false)
-      (Instance.relations instance);
+          (fun tup ->
+            let tup = Intern.tuple tup in
+            if s.dedup then ignore (add_store s tup) else append s tup)
+          (Instance.tuples instance rel))
+      (Instance.relations instance)
+
+  let of_instance instance =
+    let t = create () in
+    extend t instance;
     t
 
   (* Raw zero-copy handles for the leapfrog backend ({!Wcoj}): the

@@ -20,6 +20,11 @@ module Db : sig
   val create : unit -> t
   val of_instance : Instance.t -> t
 
+  val extend : t -> Instance.t -> unit
+  (** Appends every fact of the instance, none of which may already be
+      in [t]. Column indexes are not rebuilt: each catches up with the
+      appended tuples on its next probe. *)
+
   val add : t -> rel:string -> int array -> bool
   (** Appends an interned tuple; [false] if it was already present. *)
 

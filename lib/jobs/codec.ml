@@ -8,7 +8,10 @@ let corrupt fmt = Format.kasprintf (fun s -> raise (Corrupt s)) fmt
 
 type w = Buffer.t
 
-let writer () = Buffer.create 4096
+(* 256 bytes is 32 words, under the minor heap's 256-word limit: a
+   frame header or a small message never takes a major-heap block.
+   Larger encodes grow by doubling. *)
+let writer () = Buffer.create 256
 let contents = Buffer.contents
 let w_int b i = Buffer.add_int64_be b (Int64.of_int i)
 

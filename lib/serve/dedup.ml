@@ -1,7 +1,8 @@
 (* The idempotency-key dedup window. One entry per (client, key): a
-   keyed op that completed successfully keeps its recorded responses
-   until capacity evicts it; a retry of the same logical op replays
-   those responses instead of re-executing. In-flight entries are
+   keyed op that completed successfully keeps its recorded response
+   payloads, encoded once when they were first sent, until capacity
+   evicts it; a retry of the same logical op writes those payloads
+   again instead of re-executing. In-flight entries are
    Pending so a concurrent retry (the first attempt's connection died
    but its session thread is still executing) blocks and then replays,
    rather than racing a second execution of the same ingest.
@@ -15,7 +16,7 @@
 
 type state =
   | Pending of int
-  | Finished of int * Wire.response list
+  | Finished of int * string list
 
 type token = (string * int) * int
 
@@ -64,9 +65,9 @@ let acquire t ~client ~key ~digest =
       in
       claim ())
 
-let commit t ((k, digest) : token) responses =
+let commit t ((k, digest) : token) payloads =
   Mutex.protect t.lock (fun () ->
-      Hashtbl.replace t.entries k (Finished (digest, responses));
+      Hashtbl.replace t.entries k (Finished (digest, payloads));
       Queue.push k t.order;
       (* Evict oldest finished entries past capacity; pendings are not
          in [order] and never evicted. *)

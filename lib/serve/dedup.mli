@@ -2,10 +2,11 @@
 
     One logical client op (a {!Wire.request.Keyed} envelope) maps to
     one entry keyed by (client name, key). The first execution claims
-    the entry, runs, and {!commit}s its recorded responses; any retry
-    of the same key — typically after the chaos of a connection loss,
-    when the client cannot know whether the op executed — {!acquire}s
-    a [`Replay] and answers from the record instead of re-executing.
+    the entry, runs, and {!commit}s its response payloads, each encoded
+    once as it was sent; any retry of the same key — typically after
+    the chaos of a connection loss, when the client cannot know whether
+    the op executed — {!acquire}s a [`Replay] and writes the recorded
+    payloads again instead of re-executing.
     An ingest therefore applies {e exactly once} no matter how many
     times the client has to re-send it.
 
@@ -35,18 +36,19 @@ val create : capacity:int -> t
 
 val acquire :
   t -> client:string -> key:int -> digest:int ->
-  [ `Replay of Wire.response list | `Run of token | `Mismatch ]
-(** [`Replay rs]: this op already completed; answer with [rs] (counted
-    by {!hits}). [`Run tok]: the caller owns the execution. Blocks
+  [ `Replay of string list | `Run of token | `Mismatch ]
+(** [`Replay ps]: this op already completed; answer by writing the
+    payloads [ps] again, one frame each (counted by {!hits}).
+    [`Run tok]: the caller owns the execution. Blocks
     while another session is executing the same key {e with the same
     digest}; [`Mismatch]: the key exists (pending or finished) but was
     claimed for a different request — reject, never replay. [digest]
     is any collision-resistant-enough fingerprint of the inner request
     (the server uses {!Wire.checksum} of its encoding). *)
 
-val commit : t -> token -> Wire.response list -> unit
-(** Record the op's responses (in send order) and wake waiting
-    retries. *)
+val commit : t -> token -> string list -> unit
+(** Record the op's encoded response payloads (in send order) and wake
+    waiting retries. *)
 
 val abort : t -> token -> unit
 (** The execution failed or was shed: drop the entry so a retry

@@ -49,16 +49,18 @@ let default_config =
 
 (* [handle] is the engine handle: the interned-tuple view of [data]
    plus its lazily built column indexes. Building one replays the whole
-   instance through the interner, so it is kept across requests and
-   dropped when [data] changes. Both fields change only under the
-   engine lock. *)
+   instance through the interner, so it is kept across requests: an
+   ingest appends the facts it adds, and only [add_instance] drops it.
+   Both fields change only under the engine lock. *)
 type inst = {
   mutable data : Instance.t;
   mutable handle : Plan.Db.t option;
 }
 
+(* [pe_id] is [None] until a [Prepare] names the entry; it is set once,
+   under the server's [lock]. *)
 type plan_entry = {
-  pe_id : int;
+  mutable pe_id : int option;
   pe_instance : string;
   pe_ast : Ast.t;
   pe_plan : Eval.prepared;
@@ -340,15 +342,22 @@ let prepare_plan t inst ~instance ast =
       let plan =
         with_handle inst (Eval.prepare ~strategy:t.config.strategy ast)
       in
-      let id =
-        Mutex.protect t.lock (fun () ->
-            let id = t.next_plan in
-            t.next_plan <- id + 1;
-            id)
-      in
-      let entry = { pe_id = id; pe_instance = instance; pe_ast = ast; pe_plan = plan } in
-      Mutex.protect t.lock (fun () -> Hashtbl.replace t.plans id entry);
-      entry)
+      { pe_id = None; pe_instance = instance; pe_ast = ast; pe_plan = plan })
+
+(* Only [Prepare] hands out plan ids, and an id stays valid for the
+   server's lifetime, so the registry grows with prepared queries, not
+   with ad-hoc texts. The first [Prepare] naming an entry registers it;
+   later ones answer the same id. *)
+let plan_id t entry =
+  Mutex.protect t.lock (fun () ->
+      match entry.pe_id with
+      | Some id -> id
+      | None ->
+        let id = t.next_plan in
+        t.next_plan <- id + 1;
+        entry.pe_id <- Some id;
+        Hashtbl.replace t.plans id entry;
+        id)
 
 let resolve_plan t inst ~instance = function
   | Wire.Id id -> (
@@ -391,21 +400,27 @@ let execute t ~instance plan_ref mode =
         in
         (result, Some stats))
 
+(* Ingest only ever adds facts, so the live handle is extended with
+   exactly the facts the union adds; its column indexes catch up on
+   their next probe. If the append raises, [with_handle] drops the
+   handle and the data stays as it was. Plans compiled with the old
+   counts are dropped so re-preparation sees fresh cardinalities. *)
 let ingest t ~instance facts =
   let inst = get_inst t instance in
   with_engine t (fun () ->
-      let before = Instance.cardinal inst.data in
-      inst.data <- Instance.union inst.data (Instance.of_facts facts);
-      (* Freed now, so the stale handle never lives beside its rebuild;
-         plans compiled with stale counts are dropped so re-preparation
-         sees fresh cardinalities. *)
-      inst.handle <- None;
-      let prefix = instance ^ "\000" in
-      ignore
-        (Cache.remove_if t.plan_cache (fun k ->
-             String.length k >= String.length prefix
-             && String.sub k 0 (String.length prefix) = prefix));
-      Instance.cardinal inst.data - before)
+      let fresh = Instance.diff (Instance.of_facts facts) inst.data in
+      let added = Instance.cardinal fresh in
+      if added > 0 then begin
+        if Option.is_some inst.handle then
+          with_handle inst (fun db -> Plan.Db.extend db fresh);
+        inst.data <- Instance.union inst.data fresh;
+        let prefix = instance ^ "\000" in
+        ignore
+          (Cache.remove_if t.plan_cache (fun k ->
+               String.length k >= String.length prefix
+               && String.sub k 0 (String.length prefix) = prefix))
+      end;
+      added)
 
 let stats t =
   {
@@ -476,36 +491,39 @@ let span_info_of_event : Trace.event -> Wire.span_info option = function
   | Trace.Instant _ | Trace.Sample _ -> None
 
 (* Responses carry the write deadline: a peer that stops draining its
-   socket times the session out instead of pinning it forever. Inside a
-   [Keyed] execution every reply is also recorded for the dedup
-   window. *)
+   socket times the session out instead of pinning it forever. Each
+   response is encoded once; inside a [Keyed] execution that payload is
+   also what the dedup window records and replays. *)
 let handle_request t fd client req =
   Trace.incr requests_c;
   let t0 = Unix.gettimeofday () in
   let recording = ref None in
   let oversized = ref false in
-  let reply resp =
-    (match !recording with
-    | Some (acc, bytes) ->
-      (* A dedup record pins its responses in server memory for up to
-         [dedup_window] completions, so its size must be bounded by
-         policy, not by [max_frame]. Past the cap the recording is
-         dropped and the keyed wrapper aborts instead of committing:
-         a retry of a huge result re-executes rather than replaying. *)
-      bytes :=
-        !bytes + String.length (Wire.response_to_string resp);
-      if !bytes > t.config.dedup_max_bytes then begin
-        recording := None;
-        oversized := true
-      end
-      else acc := resp :: !acc
-    | None -> ());
+  let send payload =
     let deadline =
       Option.map
         (fun s -> Unix.gettimeofday () +. s)
         t.config.write_timeout_s
     in
-    Wire.write_response ?deadline fd resp
+    Wire.write_frame ?deadline fd payload
+  in
+  let reply resp =
+    let payload = Wire.response_to_string resp in
+    (match !recording with
+    | Some (acc, bytes) ->
+      (* A dedup record pins its payloads in server memory for up to
+         [dedup_window] completions, so its size must be bounded by
+         policy, not by [max_frame]. Past the cap the recording is
+         dropped and the keyed wrapper aborts instead of committing:
+         a retry of a huge result re-executes rather than replaying. *)
+      bytes := !bytes + String.length payload;
+      if !bytes > t.config.dedup_max_bytes then begin
+        recording := None;
+        oversized := true
+      end
+      else acc := payload :: !acc
+    | None -> ());
+    send payload
   in
   (try
      let rec go (req : Wire.request) =
@@ -554,13 +572,13 @@ let handle_request t fd client req =
                 answered with another operation's recording. *)
              let digest = Wire.checksum (Wire.request_to_string inner) in
              match Dedup.acquire dedup ~client:!client ~key ~digest with
-             | `Replay rs ->
+             | `Replay payloads ->
                (* The op already ran to completion (possibly on a
                   session whose connection the client lost): answer
-                  with the recorded responses, execute nothing. *)
+                  with the recorded payloads, execute nothing. *)
                Atomic.incr t.deduped_n;
                Trace.incr deduped_c;
-               List.iter reply rs
+               List.iter send payloads
              | `Mismatch ->
                bad "idempotency key %d re-used for a different request"
                  key
@@ -592,11 +610,12 @@ let handle_request t fd client req =
              let entry, cached =
                with_engine t (fun () -> prepare_plan t inst ~instance ast)
              in
+             let id = plan_id t entry in
              Atomic.incr t.served;
              reply
                (Prepared
                   {
-                    id = entry.pe_id;
+                    id;
                     cached;
                     atoms = Eval.atom_count entry.pe_plan;
                   }))

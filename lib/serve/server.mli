@@ -12,9 +12,10 @@
 
     Resources are governed as a database server would: one engine
     handle per instance (an interned DB with its lazily built indexes),
-    built on first use, reused across requests and dropped when an
-    ingest changes the instance; a {!Cache} of compiled plans keyed by
-    (instance, canonical query) shared by all sessions; admission
+    built on first use, reused across requests and extended in place
+    with the facts an ingest adds; a {!Cache} of compiled plans keyed by
+    (instance, canonical query) shared by all sessions, whose entries
+    get a plan id only when a [Prepare] names them; admission
     control fast-rejecting work past [max_inflight]; and per-client
     token-bucket {!Quota}s.
 

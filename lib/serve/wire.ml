@@ -381,10 +381,27 @@ exception Closed
 exception Timed_out
 exception Too_large of { len : int; limit : int }
 
+(* The fold is h <- h*P + b per byte. Four steps of it regroup into
+   h*P^4 + b0*P^3 + b1*P^2 + b2*P + b3, exact because every product
+   wraps mod 2^63 alike, so one multiply on [h]'s dependency chain
+   covers four bytes. *)
+let p1 = 16777619
+let p2 = p1 * p1
+let p3 = p2 * p1
+let p4 = p3 * p1
+
 let checksum s =
+  let n = String.length s in
+  let byte i = Char.code (String.unsafe_get s i) in
   let h = ref 0x100001b3 in
-  for i = 0 to String.length s - 1 do
-    h := (!h * 16777619) + Char.code (String.unsafe_get s i)
+  for k = 0 to (n / 4) - 1 do
+    let j = 4 * k in
+    h :=
+      (!h * p4) + (byte j * p3) + (byte (j + 1) * p2) + (byte (j + 2) * p1)
+      + byte (j + 3)
+  done;
+  for j = n land lnot 3 to n - 1 do
+    h := (!h * p1) + byte j
   done;
   !h land max_int
 

@@ -54,12 +54,15 @@ type request =
           and checks protocol compatibility. *)
   | Prepare of { instance : string; query : string }
       (** Compile [query] against the named instance once; later
-          {!Execute}s reference the returned id. Idempotent: the same
-          query text on the same instance returns the cached plan. *)
+          {!Execute}s reference the returned id, valid for the server's
+          lifetime. Idempotent: the same query text on the same instance
+          returns the cached plan and, while it stays cached, its id. *)
   | Execute of { instance : string; plan : plan_ref; mode : mode }
   | Ingest of { instance : string; facts : Lamp_relational.Fact.t list }
-      (** Batch-load facts; drops the instance's engine handle and the
-          cached plans built on the old contents. *)
+      (** Batch-load facts. The facts not already present are appended
+          to the instance's engine handle, and the cached plans built
+          on the old contents are dropped; an ingest that adds nothing
+          changes nothing. *)
   | Stats
   | Health
   | Metrics
@@ -204,9 +207,9 @@ exception Too_large of {
     limit. Raised before allocating anything. *)
 
 val checksum : string -> int
-(** The frame checksum: a 63-bit FNV-style polynomial fold. Any
-    single-byte change at any position changes the digest. Exposed for
-    the property tests. *)
+(** The frame checksum: a 63-bit FNV-style polynomial fold, computed
+    four bytes per step. Any single-byte change at any position changes
+    the digest. Exposed for the property tests. *)
 
 val wait_readable : ?timeout_s:float -> Unix.file_descr -> bool
 (** Blocks until the descriptor is readable (true) or [timeout_s]

@@ -200,6 +200,40 @@ let prop_valuations_match =
         (via_fold Cq_reference.fold_valuations))
 
 (* ------------------------------------------------------------------ *)
+(* Db.extend: appending a disjoint instance ≡ loading the union        *)
+
+let prop_db_extend_matches_union =
+  QCheck.Test.make ~name:"Db.extend = of_instance of the union" ~count:300
+    (QCheck.triple cq_arb small_instance_arb small_instance_arb)
+    (fun (q, a, b) ->
+      let b = Instance.diff b a in
+      let answers db =
+        List.map
+          (fun strategy -> Eval.run (Eval.prepare ~strategy q db) db)
+          [ Eval.Binary; Eval.Wcoj ]
+      in
+      let rebuilt = Plan.Db.of_instance (Instance.union a b) in
+      let same db =
+        List.equal Instance.equal (answers db) (answers rebuilt)
+        && Instance.equal (Plan.Db.to_instance db) (Plan.Db.to_instance rebuilt)
+      in
+      let mem db f =
+        Plan.Db.mem db ~rel:(Fact.rel f) (Intern.tuple (Fact.args f))
+      in
+      (* Queried first: the column indexes the plans built must catch up
+         with the appended tuples. *)
+      let queried = Plan.Db.of_instance a in
+      ignore (answers queried);
+      Plan.Db.extend queried b;
+      (* [mem] first gives A's stores their duplicate tables, which the
+         extend must then record B's tuples into. *)
+      let checked = Plan.Db.of_instance a in
+      Instance.iter (fun f -> ignore (mem checked f)) a;
+      Plan.Db.extend checked b;
+      same queried && same checked
+      && Instance.fold (fun f ok -> ok && mem checked f) b true)
+
+(* ------------------------------------------------------------------ *)
 (* Worst-case-optimal backend: Wcoj ≡ binary ≡ Generic_join            *)
 
 let prop_wcoj_matches_binary =
@@ -436,6 +470,7 @@ let () =
             prop_compiled_matches_reference;
             prop_compiled_matches_brute_force;
             prop_valuations_match;
+            prop_db_extend_matches_union;
             prop_wcoj_matches_binary;
             prop_wcoj_matches_generic_join;
             prop_wcoj_valuations_match;

@@ -237,6 +237,23 @@ let test_wire_golden () =
       | exception Invalid_argument _ -> ())
     [ 1; 2; 4 ]
 
+(* [Wire.checksum] folds four bytes per step; the reference here is the
+   byte-at-a-time fold h <- h*16777619 + b it must equal, on every tail
+   length and on a frame-sized string. *)
+let test_wire_checksum () =
+  let reference s =
+    let h = ref 0x100001b3 in
+    String.iter (fun c -> h := (!h * 16777619) + Char.code c) s;
+    !h land max_int
+  in
+  let big = String.init 70_000 (fun i -> Char.chr ((i * 131 + 7) land 255)) in
+  for n = 0 to 67 do
+    let s = String.sub big (n * 17) n in
+    Alcotest.(check int) (Printf.sprintf "length %d" n) (reference s)
+      (Wire.checksum s)
+  done;
+  Alcotest.(check int) "70 KB" (reference big) (Wire.checksum big)
+
 (* ------------------------------------------------------------------ *)
 (* Checksummed framing                                                 *)
 
@@ -354,17 +371,20 @@ let test_quota_clock_jumps () =
 
 module Dedup = Lamp_serve.Dedup
 
+(* The window records response payloads as the server encoded them. *)
+let payload = Wire.response_to_string
+
 let test_dedup_replay_and_abort () =
   let d = Dedup.create ~capacity:4 in
   (* First acquire claims the execution; commit records it; the retry
      replays without running. *)
   (match Dedup.acquire d ~client:"c" ~key:1 ~digest:11 with
-  | `Run tok -> Dedup.commit d tok [ Wire.Ingested { added = 2 } ]
+  | `Run tok -> Dedup.commit d tok [ payload (Ingested { added = 2 }) ]
   | `Replay _ | `Mismatch -> Alcotest.fail "fresh key must run");
   (match Dedup.acquire d ~client:"c" ~key:1 ~digest:11 with
-  | `Replay [ Wire.Ingested { added } ] ->
-    Alcotest.(check int) "replayed response" 2 added
-  | `Replay _ -> Alcotest.fail "wrong recorded responses"
+  | `Replay ps ->
+    Alcotest.(check (list string)) "replayed payload"
+      [ payload (Ingested { added = 2 }) ] ps
   | `Run _ | `Mismatch -> Alcotest.fail "committed key must replay");
   Alcotest.(check int) "replay counted" 1 (Dedup.hits d);
   (* Same key, different client: a distinct entry. *)
@@ -374,14 +394,14 @@ let test_dedup_replay_and_abort () =
     Alcotest.fail "client names partition the window");
   (* An aborted execution leaves no record: the retry re-executes. *)
   (match Dedup.acquire d ~client:"other" ~key:1 ~digest:11 with
-  | `Run tok -> Dedup.commit d tok [ Wire.Healthy ]
+  | `Run tok -> Dedup.commit d tok [ payload Healthy ]
   | `Replay _ | `Mismatch -> Alcotest.fail "aborted key must re-run");
   Alcotest.(check int) "two finished entries held" 2 (Dedup.length d)
 
 let test_dedup_digest_mismatch () =
   let d = Dedup.create ~capacity:4 in
   (match Dedup.acquire d ~client:"c" ~key:1 ~digest:100 with
-  | `Run tok -> Dedup.commit d tok [ Wire.Ingested { added = 5 } ]
+  | `Run tok -> Dedup.commit d tok [ payload (Ingested { added = 5 }) ]
   | `Replay _ | `Mismatch -> Alcotest.fail "fresh key must run");
   (* The same key claimed for different request bytes — a restarted
      client reusing its counter — must never see the recorded answer. *)
@@ -392,8 +412,11 @@ let test_dedup_digest_mismatch () =
   (* The mismatch neither evicted nor corrupted the entry: the real
      retry still replays. *)
   (match Dedup.acquire d ~client:"c" ~key:1 ~digest:100 with
-  | `Replay [ Wire.Ingested { added = 5 } ] -> ()
-  | _ -> Alcotest.fail "original record must survive a mismatch");
+  | `Replay ps ->
+    Alcotest.(check (list string)) "original record survives a mismatch"
+      [ payload (Ingested { added = 5 }) ] ps
+  | `Run _ | `Mismatch ->
+    Alcotest.fail "original record must survive a mismatch");
   (* A pending entry rejects a different digest without blocking. *)
   match Dedup.acquire d ~client:"c" ~key:2 ~digest:100 with
   | `Run tok -> (
@@ -407,7 +430,7 @@ let test_dedup_eviction () =
   let d = Dedup.create ~capacity:2 in
   let finish key =
     match Dedup.acquire d ~client:"c" ~key ~digest:key with
-    | `Run tok -> Dedup.commit d tok [ Wire.Healthy ]
+    | `Run tok -> Dedup.commit d tok [ payload Healthy ]
     | `Replay _ | `Mismatch -> Alcotest.fail "fresh key must run"
   in
   finish 1;
@@ -432,7 +455,7 @@ let test_dedup_concurrent_retry_blocks () =
         | `Run tok ->
           Semaphore.Binary.release first_running;
           Semaphore.Binary.acquire release;
-          Dedup.commit d tok [ Wire.Ingested { added = 7 } ]
+          Dedup.commit d tok [ payload (Ingested { added = 7 }) ]
         | `Replay _ | `Mismatch -> Alcotest.fail "first acquire must run")
       ()
   in
@@ -452,9 +475,8 @@ let test_dedup_concurrent_retry_blocks () =
   Semaphore.Binary.release release;
   Thread.join runner;
   Thread.join retrier;
-  match !replayed with
-  | [ Wire.Ingested { added = 7 } ] -> ()
-  | _ -> Alcotest.fail "retry saw the committed record"
+  Alcotest.(check (list string)) "retry saw the committed record"
+    [ payload (Ingested { added = 7 }) ] !replayed
 
 (* ------------------------------------------------------------------ *)
 (* Plan cache (LRU)                                                    *)
@@ -662,6 +684,83 @@ let test_ingest_invalidation () =
           Alcotest.(check bool) "ingest reached the result" true
             (Instance.cardinal got > Instance.cardinal before)))
 
+let test_plan_ids_from_prepare () =
+  with_server `Seq (fun _server ~executor:_ ~path ->
+      with_client path (fun c ->
+          for i = 1 to 40 do
+            ignore
+              (Client.execute c ~instance:"main"
+                 (Adhoc (Printf.sprintf "H(y) <- R(%d,y)" i)))
+          done;
+          (* Ad-hoc compiles take no ids: the first Prepare gets 1 and
+             no second id exists yet. *)
+          let p = Client.prepare c ~instance:"main" ~query:"H(x) <- T(x)" in
+          Alcotest.(check int) "first Prepare answers id 1" 1 p.id;
+          (match Client.execute c ~instance:"main" (Id 2) with
+          | _ -> Alcotest.fail "id 2 was never handed out"
+          | exception Client.Server_error (Bad_request, _) -> ());
+          (* Preparing a query an ad-hoc execute compiled names that
+             cache entry: it gets the next id, and keeps it. *)
+          let q = "H(y) <- R(3,y)" in
+          let a = Client.prepare c ~instance:"main" ~query:q in
+          Alcotest.(check bool) "ad-hoc compile is reused" true a.cached;
+          Alcotest.(check int) "next id" 2 a.id;
+          Alcotest.(check int) "same id again" 2
+            (Client.prepare c ~instance:"main" ~query:q).id))
+
+(* An ingest appends the facts it adds to the live engine handle: the
+   column index a lookup built is extended, never rebuilt, and every
+   answer still equals the library on the union. *)
+let test_ingest_extends_handle () =
+  let builds = Lamp_obs.Trace.counter "cq.index_builds" in
+  let extends = Lamp_obs.Trace.counter "cq.index_extends" in
+  let lookup = "H(y) <- R(3,y)" in
+  let queries = [ lookup; "H(x,y) <- R(x,y)"; "H(x) <- U(x)" ] in
+  let fresh =
+    [
+      Fact.of_list "R" [ Value.int 3; Value.int 40 ];
+      Fact.of_list "R" [ Value.int 3; Value.int 41 ];
+      Fact.of_list "R" [ Value.int 3; Value.int 4 ];
+      Fact.of_list "U" [ Value.int 1 ];
+    ]
+  in
+  let union = Instance.union seed_data (Instance.of_facts fresh) in
+  let expected =
+    List.map (fun q -> (q, Eval.eval (Parser.query q) union)) queries
+  in
+  Lamp_obs.Trace.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Lamp_obs.Trace.set_enabled false;
+      Lamp_obs.Trace.reset ())
+    (fun () ->
+      with_server `Seq (fun server ~executor:_ ~path ->
+          with_client path (fun c ->
+              (* Builds the handle and R's column-0 index. *)
+              ignore (Client.execute c ~instance:"main" (Adhoc lookup));
+              let b0 = Lamp_obs.Trace.value builds in
+              let e0 = Lamp_obs.Trace.value extends in
+              Alcotest.(check int) "R(3,4) was already there" 3
+                (Client.ingest c ~instance:"main" fresh);
+              let got =
+                List.map
+                  (fun q -> fst (Client.execute c ~instance:"main" (Adhoc q)))
+                  queries
+              in
+              Alcotest.(check int) "no index rebuilt" b0
+                (Lamp_obs.Trace.value builds);
+              Alcotest.(check bool) "index extended" true
+                (Lamp_obs.Trace.value extends > e0);
+              List.iter2
+                (fun (q, want) got -> check_bit_identical q want got)
+                expected got;
+              Alcotest.(check int) "re-ingest adds nothing" 0
+                (Client.ingest c ~instance:"main" fresh);
+              let hits = (Server.stats server).plan_cache_hits in
+              ignore (Client.execute c ~instance:"main" (Adhoc lookup));
+              Alcotest.(check int) "an empty ingest keeps the plans" (hits + 1)
+                (Server.stats server).plan_cache_hits)))
+
 let test_admission_reject () =
   let config = { Server.default_config with max_inflight = 0 } in
   with_server ~config `Seq (fun _server ~executor:_ ~path ->
@@ -773,6 +872,42 @@ let test_dedup_byte_cap () =
             (Client.ingest ~key:2 c ~instance:"main" fresh);
           Alcotest.(check int) "replay surfaced in stats" 1
             (Server.stats server).deduped))
+
+(* Says hello as [client] on a fresh raw connection, sends [req], and
+   returns every response payload up to the one closing the answer. *)
+let raw_exchange path ~client req =
+  let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (ADDR_UNIX path);
+      Wire.write_request fd (Hello { client; version = Wire.protocol_version });
+      ignore (Wire.read_frame fd);
+      Wire.write_request fd req;
+      let rec collect acc =
+        let payload = Wire.read_frame fd in
+        match Wire.response_of_string payload with
+        | Batch _ -> collect (payload :: acc)
+        | _ -> List.rev (payload :: acc)
+      in
+      collect [])
+
+let test_keyed_replay_bytes () =
+  (* A replay writes the payloads the first execution sent, frame for
+     frame: with [batch = 2] the answer spans many [Batch] frames. *)
+  let config = { Server.default_config with batch = 2 } in
+  with_server ~config `Seq (fun server ~executor:_ ~path ->
+      let scan = Wire.Adhoc "H(x,y) <- R(x,y)" in
+      let exec : Wire.request =
+        Execute { instance = "main"; plan = scan; mode = Local }
+      in
+      let req : Wire.request = Keyed { key = 5; req = exec } in
+      let first = raw_exchange path ~client:"replayer" req in
+      let again = raw_exchange path ~client:"replayer" req in
+      Alcotest.(check bool) "several Batch frames" true (List.length first > 3);
+      Alcotest.(check (list string)) "replayed payloads" first again;
+      Alcotest.(check int) "answered from the window" 1
+        (Server.stats server).deduped)
 
 (* A hand-rolled wire-speaking server: answers hello at [version], then
    drops the connection on the first ingest it ever sees and serves
@@ -1238,6 +1373,7 @@ let () =
           Alcotest.test_case "round-trips" `Quick test_wire_roundtrip;
           Alcotest.test_case "hostile input" `Quick test_wire_hostile;
           Alcotest.test_case "v3 golden bytes" `Quick test_wire_golden;
+          Alcotest.test_case "checksum" `Quick test_wire_checksum;
         ] );
       ( "framing",
         [
@@ -1276,6 +1412,10 @@ let () =
             test_prepare_cache_and_ids;
           Alcotest.test_case "ingest invalidates" `Quick
             test_ingest_invalidation;
+          Alcotest.test_case "only Prepare assigns plan ids" `Quick
+            test_plan_ids_from_prepare;
+          Alcotest.test_case "ingest extends the engine handle" `Quick
+            test_ingest_extends_handle;
           Alcotest.test_case "admission fast-reject" `Quick
             test_admission_reject;
           Alcotest.test_case "per-client quotas" `Quick test_quota_throttle;
@@ -1296,6 +1436,8 @@ let () =
             test_keyed_ingest_replays;
           Alcotest.test_case "dedup records are size-capped" `Quick
             test_dedup_byte_cap;
+          Alcotest.test_case "keyed replay is byte-identical" `Quick
+            test_keyed_replay_bytes;
           Alcotest.test_case "dropped keyed ingest is retried once" `Quick
             test_resilient_retries_dropped_ingest;
           Alcotest.test_case "overload sheds with retry hint" `Quick
