@@ -14,11 +14,14 @@ type t = {
   nodes : Node.t list;
   universe : Value.Set.t option;
   responsible : Node.t -> Fact.t -> bool;
+  route : (Fact.t -> Node.t list) option;
+      (* The responsible nodes of a fact, ascending, computed directly
+         instead of asking every node. *)
 }
 
 let make ?(kind = Custom) ?universe ~name ~nodes responsible =
   if nodes = [] then invalid_arg "Policy.make: empty network";
-  { name; kind; nodes; universe; responsible }
+  { name; kind; nodes; universe; responsible; route = None }
 
 let name t = t.name
 let kind t = t.kind
@@ -27,7 +30,9 @@ let universe t = t.universe
 let responsible t node fact = t.responsible node fact
 
 let responsible_nodes t fact =
-  List.filter (fun n -> t.responsible n fact) t.nodes
+  match t.route with
+  | Some route -> route fact
+  | None -> List.filter (fun n -> t.responsible n fact) t.nodes
 
 let loc_inst t instance node =
   Instance.filter (fun f -> t.responsible node f) instance
@@ -141,11 +146,27 @@ let hypercube ?universe ?(seed = 0) ~name ~query ~shares () =
           !found)
       (Ast.body query)
   in
+  (* The same nodes in one pass: one partial coordinate per matching
+     atom, one grid enumeration each, merged into ascending order — the
+     order of the per-node filter over [nodes]. *)
+  let route fact =
+    let rel = Fact.rel fact in
+    let cells = ref [] in
+    List.iter
+      (fun a ->
+        if a.Ast.rel = rel then
+          match partial_of_atom a fact with
+          | None -> ()
+          | Some partial ->
+            Grid.matching grid partial (fun n -> cells := n :: !cells))
+      (Ast.body query);
+    List.sort_uniq Int.compare !cells
+  in
   let t =
     make ~kind:Hypercube ?universe ~name ~nodes:(Node.range (Grid.size grid))
       responsible
   in
-  (t, grid)
+  ({ t with route = Some route }, grid)
 
 let hypercube_replication ~query ~shares fact =
   (* Replication factor of a fact: number of grid nodes it reaches. *)

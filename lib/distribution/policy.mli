@@ -42,6 +42,10 @@ val responsible : t -> Node.t -> Fact.t -> bool
     i.e. [f ∈ rfacts_P(κ)]. *)
 
 val responsible_nodes : t -> Fact.t -> Node.t list
+(** The nodes responsible for a fact, in {!nodes} order: exactly
+    [List.filter (fun κ -> responsible t κ f) (nodes t)]. HyperCube
+    policies compute the list directly from the fact's grid cells;
+    every other policy asks each node. *)
 
 val loc_inst : t -> Instance.t -> Node.t -> Instance.t
 (** [loc_inst t i κ] is the local instance [I ∩ rfacts_P(κ)]. *)

@@ -27,6 +27,11 @@ type round = {
           instance from what it received this round and what it held
           before. *)
 }
+(** One round. The load rule: every delivered message is load, a
+    message a server addresses to itself included. What a server keeps
+    for a later round crosses the round through [previous] — the
+    round-start local, also for a crashed server's replacement — and
+    is never sent. *)
 
 val create :
   ?executor:Lamp_runtime.Executor.t ->

@@ -5,15 +5,16 @@ open Lamp_cq
 let h ~seed ~p v = Policy.hash_value ~seed ~buckets:p v
 let plan_of = function Some f -> f | None -> Lamp_faults.Plan.none
 
-(* Facts parked for round 2 are renamed with this prefix so the round-1
-   light evaluation (which matches atoms by relation name) never sees
-   them. *)
+(* A server keeps its query-relevant facts for round 2 in its local
+   state, renamed with this prefix, beside its round-1 answers: round 2
+   routes the one and keeps the other, even when the head relation is
+   also a body relation. *)
 let stage_prefix = "kst!"
 let plen = String.length stage_prefix
 let stage rel = stage_prefix ^ rel
 
 let is_staged rel =
-  String.length rel > plen && String.sub rel 0 plen = stage_prefix
+  String.length rel > plen && String.starts_with ~prefix:stage_prefix rel
 
 let unstage rel = String.sub rel plen (String.length rel - plen)
 
@@ -100,7 +101,6 @@ let run ?(seed = 0) ?threshold ?executor ?faults ?job ~p query instance =
       if n < 1 || n > 2 then
         invalid_arg "Kst.run: body atoms must be unary or binary")
     atoms;
-  let head_rel = query.Ast.head.Ast.rel in
   let vars = List.sort_uniq String.compare (Ast.body_vars query) in
   let body_rels = List.sort_uniq String.compare (List.map (fun a -> a.Ast.rel) atoms) in
   let m =
@@ -264,106 +264,98 @@ let run ?(seed = 0) ?threshold ?executor ?faults ?job ~p query instance =
         Policy.hypercube ~seed ~name:"kst-light" ~query ~shares ()
       in
       let atoms_of rel = List.filter (fun a -> String.equal a.Ast.rel rel) atoms in
+      (* Variable bindings of every atom the fact can instantiate; empty
+         for facts the query ignores. *)
+      let roles f =
+        let args = Fact.args f in
+        List.filter_map
+          (fun a -> if compatible a args then Some (bindings a args) else None)
+          (atoms_of (Fact.rel f))
+      in
       let light_binding b =
         List.for_all (fun (v, x) -> not (Value.Set.mem x (heavy_of v))) b
       in
-      let rounds =
-        [|
-          {
-            (* Round 1: light roles run the one-round HyperCube; every
-               query-relevant fact additionally parks at its source
-               under a staged name, awaiting round 2. *)
-            Cluster.communicate =
-              (fun src local ->
-                Instance.fold
-                  (fun f acc ->
-                    let rel = Fact.rel f and args = Fact.args f in
-                    let roles =
-                      List.filter_map
-                        (fun a ->
-                          if compatible a args then Some (bindings a args)
-                          else None)
-                        (atoms_of rel)
+      let evaluate received = Eval.eval ~strategy:Eval.Wcoj query received in
+      (* Round 1: light roles run the one-round HyperCube. A server's
+         own query-relevant facts stay where they are, under a staged
+         name, for round 2 to route — local state, not messages. *)
+      let light_round =
+        {
+          Cluster.communicate =
+            (fun _ local ->
+              Instance.fold
+                (fun f acc ->
+                  if List.exists light_binding (roles f) then
+                    List.fold_left
+                      (fun acc dst -> (dst, f) :: acc)
+                      acc
+                      (Policy.responsible_nodes policy f)
+                  else acc)
+                local []);
+          compute =
+            (fun _ ~received ~previous ->
+              if ncombos = 0 then evaluate received
+              else
+                List.fold_left
+                  (fun acc rel ->
+                    let atoms = atoms_of rel in
+                    Instance.add_tuple_set (stage rel)
+                      (Tuple.Set.filter
+                         (fun args ->
+                           List.exists (fun a -> compatible a args) atoms)
+                         (Instance.tuples previous rel))
+                      acc)
+                  (evaluate received) (Instance.relations previous));
+        }
+      in
+      (* Round 2: staged tuples fan out to every configuration whose
+         heavy assignment matches one of their atom roles, pinned by the
+         light coordinates; round-1 answers stay in [previous]. *)
+      let heavy_round =
+        {
+          Cluster.communicate =
+            (fun _ local ->
+              Instance.fold
+                (fun f acc ->
+                  let rel = Fact.rel f in
+                  if is_staged rel then begin
+                    let g = Fact.make (unstage rel) (Fact.args f) in
+                    let dsts =
+                      List.concat_map
+                        (fun b ->
+                          let hsig =
+                            List.filter
+                              (fun (v, x) -> Value.Set.mem x (heavy_of v))
+                              b
+                          in
+                          List.concat_map
+                            (fun c ->
+                              if combo_matches c b hsig then cells ~seed ~p c b
+                              else [])
+                            combos)
+                        (roles g)
                     in
-                    if roles = [] then acc
-                    else begin
-                      let acc =
-                        if List.exists light_binding roles then
-                          List.fold_left
-                            (fun acc dst -> (dst, f) :: acc)
-                            acc
-                            (Policy.responsible_nodes policy f)
-                        else acc
-                      in
-                      if ncombos > 0 then
-                        (src, Fact.make (stage rel) args) :: acc
-                      else acc
-                    end)
-                  local []);
-            compute =
-              (fun _ ~received ~previous:_ ->
-                let light =
-                  Instance.filter (fun f -> not (is_staged (Fact.rel f))) received
-                in
-                let staged =
-                  Instance.filter (fun f -> is_staged (Fact.rel f)) received
-                in
-                Instance.union (Eval.eval ~strategy:Eval.Wcoj query light) staged);
-          };
-          {
-            (* Round 2: staged tuples fan out to every configuration
-               whose heavy assignment matches one of their atom roles,
-               pinned by the light coordinates; round-1 output stays. *)
-            Cluster.communicate =
-              (fun src local ->
-                Instance.fold
-                  (fun f acc ->
-                    let rel = Fact.rel f in
-                    if String.equal rel head_rel then (src, f) :: acc
-                    else if is_staged rel then begin
-                      let orig = unstage rel in
-                      let args = Fact.args f in
-                      let g = Fact.make orig args in
-                      let dsts =
-                        List.concat_map
-                          (fun a ->
-                            if compatible a args then begin
-                              let b = bindings a args in
-                              let hsig =
-                                List.filter
-                                  (fun (v, x) -> Value.Set.mem x (heavy_of v))
-                                  b
-                              in
-                              List.concat_map
-                                (fun c ->
-                                  if combo_matches c b hsig then
-                                    cells ~seed ~p c b
-                                  else [])
-                                combos
-                            end
-                            else [])
-                          (atoms_of orig)
-                      in
-                      List.fold_left
-                        (fun acc dst -> (dst, g) :: acc)
-                        acc
-                        (List.sort_uniq compare dsts)
-                    end
-                    else acc)
-                  local []);
-            compute =
-              (fun _ ~received ~previous:_ ->
-                let prior =
-                  Instance.filter (fun f -> String.equal (Fact.rel f) head_rel) received
-                in
-                let rest =
-                  Instance.filter
-                    (fun f -> not (String.equal (Fact.rel f) head_rel))
-                    received
-                in
-                Instance.union prior (Eval.eval ~strategy:Eval.Wcoj query rest));
-          };
-        |]
+                    List.fold_left
+                      (fun acc dst -> (dst, g) :: acc)
+                      acc
+                      (List.sort_uniq compare dsts)
+                  end
+                  else acc)
+                local []);
+          compute =
+            (fun _ ~received ~previous ->
+              Instance.union
+                (Instance.filter
+                   (fun f -> not (is_staged (Fact.rel f)))
+                   previous)
+                (evaluate received));
+        }
+      in
+      (* Without a heavy configuration nothing is staged and the plan is
+         the one-round HyperCube. *)
+      let rounds =
+        if ncombos = 0 then [| light_round |]
+        else [| light_round; heavy_round |]
       in
       Hashtbl.add plans p rounds;
       rounds
@@ -372,7 +364,7 @@ let run ?(seed = 0) ?threshold ?executor ?faults ?job ~p query instance =
   Cluster.supervise ?job ~name:"kst" ~faults:(plan_of faults)
     (Multi_round.cluster_script ?executor ?faults cluster ~rounds_for
        ~rebalance:(fun ~round ~dead ->
-         (* Staged tuples park at their round-1 servers and the
+         (* Staged tuples stay at their round-1 servers and the
             subgrid layout is a function of p — both cross-round
             rendezvous break under a topology change, so a permanent
             crash restarts the job from round 0 on the survivors. *)

@@ -16,12 +16,17 @@
       through the ordinary HyperCube of the full query (the S = ∅
       configuration) and evaluates locally with the worst-case-optimal
       backend ({!Lamp_cq.Eval.Wcoj}); every query-relevant tuple also
-      parks at its source server under a staged name.
+      stays in its server's local state under a staged name. It is
+      kept through [previous], not sent, so it is not load.
     - {b Round 2} fans each staged tuple out to every configuration
       whose heavy assignment agrees with one of its atom roles — pinned
       by the hashed coordinates of the light variables it binds,
       replicated over the subgrid dimensions it does not — and again
-      evaluates worst-case-optimally. Round-1 results ride along.
+      evaluates worst-case-optimally. Round-1 answers stay in the local
+      state.
+
+    With no heavy configuration nothing is staged, and the schedule is
+    one round of HyperCube, load for load.
 
     Every output valuation ω belongs to exactly one configuration
     (S(ω) = its set of heavy values), whose servers receive all of ω's
@@ -47,12 +52,12 @@ val run :
     and binary atoms; constants and repeated variables allowed) on [p]
     servers in two rounds. Returns the result, the load statistics and
     the number of heavy configurations planned (0 on skew-free input,
-    where the schedule collapses to plain HyperCube). The default
-    threshold is {!Skew.default_threshold}; it doubles until the
+    where the schedule is the one round of plain HyperCube). The
+    default threshold is {!Skew.default_threshold}; it doubles until the
     configuration count fits the cap.
 
     With [job], runs under {!Cluster.supervise}: checkpointed after
-    every round and resumable. Staged tuples park at their round-1
+    every round and resumable. Staged tuples stay at their round-1
     servers and the subgrid layout depends on p — cross-round
     rendezvous a topology change breaks — so a permanent crash-stop
     restarts the job from round 0 on the p−1 survivors, re-planned for

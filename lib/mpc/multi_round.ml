@@ -71,19 +71,19 @@ let plan_of = function Some f -> f | None -> Lamp_faults.Plan.none
 
 (* Example 3.1(2): the triangle by a cascade of two repartition joins.
    Round 1 joins R and S on y into K; round 2 joins K with T on the
-   pair (x, z). T rides along at its initial servers during round 1. *)
+   pair (x, z). T stays at its initial servers during round 1: it is
+   kept from [previous], never sent. *)
 let cascade_triangle ?(seed = 0) ?executor ?faults ?job ~p instance =
   Lamp_obs.Sketch.set_context "cascade";
   let k_query = Parser.query "K(x,y,z) <- R(x,y), S(y,z)" in
   let finish = Parser.query "H(x,y,z) <- K(x,y,z), T(z,x)" in
   let cluster = ref (Cluster.create ?executor ?faults ~p instance) in
   let rounds_for ~p =
-    let round1_route src fact =
+    let round1_route fact =
       let args = Fact.args fact in
       match Fact.rel fact with
       | "R" -> [ h ~seed ~p args.(1) ]
       | "S" -> [ h ~seed ~p args.(0) ]
-      | "T" -> [ src ]
       | _ -> []
     in
     let pair_hash args i j =
@@ -93,19 +93,12 @@ let cascade_triangle ?(seed = 0) ?executor ?faults ?job ~p instance =
     in
     [|
       {
-        Cluster.communicate =
-          (fun src local ->
-            Instance.fold
-              (fun fact acc ->
-                List.fold_left
-                  (fun acc dst -> (dst, fact) :: acc)
-                  acc (round1_route src fact))
-              local []);
+        Cluster.communicate = Cluster.route_by round1_route;
         compute =
-          (fun _ ~received ~previous:_ ->
+          (fun _ ~received ~previous ->
             Instance.union
               (Eval.eval k_query received)
-              (Instance.filter (fun f -> Fact.rel f = "T") received));
+              (Instance.of_tuple_set "T" (Instance.tuples previous "T")));
       };
       {
         Cluster.communicate =
@@ -133,7 +126,8 @@ let cascade_triangle ?(seed = 0) ?executor ?faults ?job ~p instance =
    Round 1: light part → HyperCube cells; heavy R and a copy of T → h(x);
             heavy S → h(z) where it waits for round 2.
    Round 2: partial matches K(z,x,y) = Tc(z,x) ⋈ Rh(x,y) → h(z), meeting
-            the heavy S there. *)
+            the heavy S there; S and the round-1 answers are kept from
+            [previous], never sent. *)
 let skew_resilient_triangle ?(seed = 0) ?threshold ?executor ?faults ?job ~p
     instance =
   Lamp_obs.Sketch.set_context "skew_resilient";
@@ -240,21 +234,17 @@ let skew_resilient_triangle ?(seed = 0) ?threshold ?executor ?faults ?job ~p
           };
           {
             Cluster.communicate =
-              (fun src local ->
-                Instance.fold
-                  (fun fact acc ->
-                    let args = Fact.args fact in
-                    match Fact.rel fact with
-                    | "H" -> (src, fact) :: acc
-                    | "K" -> (hz args.(0), fact) :: acc
-                    | "Sh" -> (src, fact) :: acc
-                    | _ -> acc)
-                  local []);
+              Cluster.route_by (fun fact ->
+                  match Fact.rel fact with
+                  | "K" -> [ hz (Fact.args fact).(0) ]
+                  | _ -> []);
             compute =
-              (fun _ ~received ~previous:_ ->
-                Instance.union
-                  (Instance.filter (fun f -> Fact.rel f = "H") received)
-                  (Eval.eval finish received));
+              (fun _ ~received ~previous ->
+                let kept rel =
+                  Instance.of_tuple_set rel (Instance.tuples previous rel)
+                in
+                Instance.union (kept "H")
+                  (Eval.eval finish (Instance.union received (kept "Sh"))));
           };
         |]
       in

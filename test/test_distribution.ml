@@ -361,6 +361,54 @@ let prop_broadcast_always_correct =
         (Distributed.eval Examples.qe_example_4_1 p i)
         (Eval.eval Examples.qe_example_4_1 i))
 
+(* HyperCube policies compute a fact's nodes directly from its grid
+   cells; the list must be the per-node filter's, element for element
+   and in the same order. Shares include 1, queries have self-joins,
+   constants and repeated variables, and facts come from a small domain
+   so that constants and repeats both match and mismatch. *)
+let prop_hypercube_route_is_filter =
+  let queries =
+    [
+      Examples.q2_triangle;
+      parse "H(x,y) <- R(x,x), S(x,y), S(y,0)";
+      parse "H(x,z) <- R(x,y), R(y,z), S(z,x,z)";
+      parse "H(x) <- R(x,1), T(x), S(x,x,2)";
+    ]
+  in
+  let gen =
+    QCheck.Gen.(
+      let* query = oneofl queries in
+      let vars = List.sort_uniq String.compare (Ast.body_vars query) in
+      let* shares = list_repeat (List.length vars) (int_range 1 3) in
+      let* seed = int_range 0 1000 in
+      let fact =
+        let* rel = oneofl [ "R"; "S"; "T"; "U" ] in
+        let* args = list_size (int_range 1 3) (int_range 0 4) in
+        return (Fact.of_ints rel args)
+      in
+      let* facts = list_size (return 40) fact in
+      return (query, List.combine vars shares, seed, facts))
+  in
+  let print (q, shares, seed, facts) =
+    Fmt.str "%a shares=[%s] seed=%d facts=%a" Ast.pp q
+      (String.concat ";"
+         (List.map (fun (v, s) -> Printf.sprintf "%s=%d" v s) shares))
+      seed
+      Fmt.(list ~sep:sp Fact.pp)
+      facts
+  in
+  QCheck.Test.make ~name:"hypercube routing = per-node filter" ~count:200
+    (QCheck.make ~print gen)
+    (fun (query, shares, seed, facts) ->
+      let policy, _ = Policy.hypercube ~seed ~name:"hc" ~query ~shares () in
+      List.for_all
+        (fun f ->
+          Policy.responsible_nodes policy f
+          = List.filter
+              (fun n -> Policy.responsible policy n f)
+              (Policy.nodes policy))
+        facts)
+
 let () =
   Alcotest.run "lamp_distribution"
     [
@@ -412,5 +460,6 @@ let () =
             prop_distributed_subset;
             prop_hypercube_correct_any_seed;
             prop_broadcast_always_correct;
+            prop_hypercube_route_is_filter;
           ] );
     ]

@@ -351,7 +351,10 @@ let test_zero_fault_plan_noop () =
    digests of its rendered output and Stats.t. The digests were
    recorded while fault-free rounds still ran on a separate code path,
    so they show that the one remaining round body reproduces that
-   path's results. *)
+   path's results. The cascade, skew-resilient and KST stats digests
+   were re-pinned when those schedules stopped mailing their own state
+   to themselves (it crosses rounds through [previous]): their loads
+   fell, every output stayed the same. *)
 let pinned_none =
   [
     ("repartition", "73f1165849d348a1dea7889d373cc2c8",
@@ -361,15 +364,15 @@ let pinned_none =
     ("hypercube", "1b543f44e5585ef5fec707b18f5cc698",
      "38efef176cc0c36143e316471e5ddeb9");
     ("cascade", "3cb9a2b81806e944892c57206861b627",
-     "d576c1bdfd53068f32b3e7e44a75195c");
+     "f0134e8291b00c5bb39ea7cb364f2ef4");
     ("skew-resilient", "8b4aa449cc3f69605765b2dcc27983b0",
-     "c8c237a96d523e292b66026d326c640f");
+     "c7cef6ba73421e8345059a6fc2925092");
     ("gym", "d3b4b2e8bbcbd0a612cdd23c2109143f",
      "e0b82a5c2d531fceb166b06de9d861b4");
     ("gym-ghd", "3cb9a2b81806e944892c57206861b627",
      "2eed56146f07ca4f2c62370eaba72184");
     ("kst", "8b4aa449cc3f69605765b2dcc27983b0",
-     "226cda13a3b5abf8af4bb25ede949d9d");
+     "54e5d1937e82027feb5c5b44eca59c97");
   ]
 
 let test_none_pinned () =

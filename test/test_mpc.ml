@@ -180,17 +180,24 @@ let test_hypercube_triangle_correct () =
     result;
   Alcotest.(check bool) "shares fit" true (Shares.product shares <= 8)
 
+(* The paper's one-round bound m/p^(1/e) for a query exponent e, with
+   m the total input size. *)
+let load_bound ~m ~p e =
+  float_of_int m /. Float.pow (float_of_int p) (1.0 /. e)
+
 let test_hypercube_load_bound () =
   let i = Workload.triangle_skew_free ~rng:(rng ()) ~m:2000 ~domain:2000 in
-  let m = Instance.cardinal i in
-  let _, stats, _ = Hypercube.run ~p:8 Examples.q2_triangle i in
-  (* Theory: each server receives ~ 3·(m/3)/p^(2/3) = m/4 here. Allow
-     2x hashing slack. *)
-  let bound = 2 * m / 4 in
+  let m = Instance.cardinal i and p = 8 in
+  let _, stats, _ = Hypercube.run ~p Examples.q2_triangle i in
+  (* Theory: skew-free HyperCube load is m/p^{1/τ*}, m/4 for the
+     triangle (τ* = 3/2) at p = 8. c = 2 allows for hashing slack. *)
+  let bound =
+    2.0 *. load_bound ~m ~p (Hypergraph.tau_star Examples.q2_triangle)
+  in
   Alcotest.(check bool)
-    (Printf.sprintf "load %d <= %d" (Stats.max_load stats) bound)
+    (Printf.sprintf "load %d <= %.0f" (Stats.max_load stats) bound)
     true
-    (Stats.max_load stats <= bound)
+    (float_of_int (Stats.max_load stats) <= bound)
 
 let test_hypercube_two_atoms () =
   let i = Workload.join_skew_free ~m:100 in
@@ -286,6 +293,18 @@ let test_gym_star () =
 (* ------------------------------------------------------------------ *)
 (* KST near-optimal multi-round algorithm                              *)
 
+(* The inputs several KST checks share. *)
+let skew_free_triangle () =
+  Workload.triangle_skew_free ~rng:(rng ()) ~m:400 ~domain:60
+
+let skewed_triangle () =
+  Workload.triangle_y_skew ~rng:(rng ()) ~m:800 ~domain:100
+    ~heavy_fraction:0.3
+
+let zipf_four_cycle () =
+  Workload.cycle_from_pairs ~rels:[ "R"; "S"; "T"; "U" ]
+    (Workload.zipf_pairs ~rng:(rng ()) ~m:500 ~domain:100 ~s:1.2)
+
 let kst_check ?threshold ~p q i =
   let expect = Eval.eval q i in
   let got, _, combos = Kst.run ~seed:7 ?threshold ~p q i in
@@ -293,8 +312,7 @@ let kst_check ?threshold ~p q i =
   combos
 
 let test_kst_triangle_skew_free () =
-  let i = Workload.triangle_skew_free ~rng:(rng ()) ~m:400 ~domain:60 in
-  ignore (kst_check ~p:4 Examples.q2_triangle i)
+  ignore (kst_check ~p:4 Examples.q2_triangle (skew_free_triangle ()))
 
 let test_kst_triangle_skewed () =
   let i =
@@ -306,8 +324,7 @@ let test_kst_triangle_skewed () =
   Alcotest.(check bool) "heavy configurations planned" true (combos > 0)
 
 let test_kst_four_cycle_zipf () =
-  let pairs = Workload.zipf_pairs ~rng:(rng ()) ~m:500 ~domain:100 ~s:1.2 in
-  let i = Workload.cycle_from_pairs ~rels:[ "R"; "S"; "T"; "U" ] pairs in
+  let i = zipf_four_cycle () in
   ignore (kst_check ~p:5 Examples.q_four_cycle i);
   ignore (kst_check ~threshold:5 ~p:5 Examples.q_four_cycle i)
 
@@ -330,6 +347,17 @@ let test_kst_constants_repeated () =
   ignore (kst_check ~p:3 q i);
   ignore (kst_check ~threshold:4 ~p:3 q i)
 
+let test_kst_head_is_body_relation () =
+  (* The head relation R is also a body relation: round-1 answers and
+     input R facts must not be confused in round 2. *)
+  let q = Parser.query "R(x,z) <- R(x,y), S(y,z)" in
+  let i =
+    Workload.triangle_y_skew ~rng:(Random.State.make [| 5 |]) ~m:300
+      ~domain:40 ~heavy_fraction:0.4
+  in
+  let combos = kst_check ~threshold:4 ~p:4 q i in
+  Alcotest.(check bool) "heavy configurations planned" true (combos > 0)
+
 let test_kst_single_server () =
   let i =
     Workload.triangle_y_skew ~rng:(rng ()) ~m:300 ~domain:50
@@ -350,16 +378,51 @@ let test_kst_deterministic () =
   Alcotest.(check int) "same configurations" ca cb
 
 let test_kst_load_vs_hypercube () =
-  (* On skewed input the KST load must stay within a small constant
-     factor of one-round HyperCube's (it is allowed to be better). *)
-  let i =
-    Workload.triangle_y_skew ~rng:(rng ()) ~m:800 ~domain:100
-      ~heavy_fraction:0.3
-  in
+  (* KST exists to beat one-round HyperCube under skew: on the skewed
+     triangle its max load must not exceed HyperCube's. *)
+  let i = skewed_triangle () in
   let _, hs, _ = Hypercube.run ~seed:7 ~p:6 Examples.q2_triangle i in
   let _, ks, _ = Kst.run ~seed:7 ~threshold:8 ~p:6 Examples.q2_triangle i in
-  Alcotest.(check bool) "within 3x of hypercube" true
-    (Stats.max_load ks <= 3 * Stats.max_load hs)
+  Alcotest.(check bool)
+    (Printf.sprintf "kst %d <= hypercube %d" (Stats.max_load ks)
+       (Stats.max_load hs))
+    true
+    (Stats.max_load ks <= Stats.max_load hs)
+
+let test_kst_load_bound () =
+  (* Ketsman–Suciu–Tao: load Õ(m/p^{1/ρ*}) on every input, skewed or
+     not. c = 2 stands for the hashing slack and the polylog factor
+     the Õ hides. *)
+  let c = 2.0 in
+  let check name ?threshold ~p q i =
+    let _, ks, combos = Kst.run ~seed:7 ?threshold ~p q i in
+    let bound =
+      c *. load_bound ~m:(Instance.cardinal i) ~p (Hypergraph.rho_star q)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: kst %d <= %.0f (%d configurations)" name
+         (Stats.max_load ks) bound combos)
+      true
+      (float_of_int (Stats.max_load ks) <= bound)
+  in
+  check "skewed triangle" ~threshold:8 ~p:6 Examples.q2_triangle
+    (skewed_triangle ());
+  check "skew-free triangle" ~p:4 Examples.q2_triangle (skew_free_triangle ());
+  check "Zipf 4-cycle" ~p:5 Examples.q_four_cycle (zipf_four_cycle ())
+
+let test_kst_skew_free_is_hypercube () =
+  (* With no heavy configuration nothing is staged: KST is one round of
+     HyperCube, load for load. *)
+  let same name ~p q i =
+    let _, ks, combos = Kst.run ~seed:7 ~p q i in
+    let _, hs, _ = Hypercube.run ~seed:7 ~p q i in
+    Alcotest.(check int) (name ^ ": no heavy configuration") 0 combos;
+    Alcotest.(check int) (name ^ ": one round") 1 (Stats.rounds ks);
+    Alcotest.(check bool) (name ^ ": hypercube's round loads") true
+      (ks.Stats.rounds = hs.Stats.rounds)
+  in
+  same "skew-free triangle" ~p:4 Examples.q2_triangle (skew_free_triangle ());
+  same "Zipf 4-cycle" ~p:5 Examples.q_four_cycle (zipf_four_cycle ())
 
 let test_hypercube_wcoj_strategy_identical () =
   (* The plan backend changes local evaluation only: same routing, so
@@ -549,8 +612,13 @@ let () =
             test_kst_constants_repeated;
           Alcotest.test_case "p = 1" `Quick test_kst_single_server;
           Alcotest.test_case "deterministic" `Quick test_kst_deterministic;
+          Alcotest.test_case "head is a body relation" `Quick
+            test_kst_head_is_body_relation;
           Alcotest.test_case "load vs hypercube" `Quick
             test_kst_load_vs_hypercube;
+          Alcotest.test_case "load bound" `Quick test_kst_load_bound;
+          Alcotest.test_case "skew-free is hypercube" `Quick
+            test_kst_skew_free_is_hypercube;
           Alcotest.test_case "hypercube wcoj backend identical" `Quick
             test_hypercube_wcoj_strategy_identical;
         ] );
