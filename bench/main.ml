@@ -1578,7 +1578,8 @@ let e15 () =
   in
   check "responses bit-identical to direct evaluation"
     (Atomic.get mismatches = 0 && Atomic.get errors = 0);
-  check "no request rejected or throttled" (s.rejected = 0 && s.throttled = 0);
+  check "no request rejected, throttled or shed"
+    (s.rejected = 0 && s.throttled = 0 && s.shed = 0);
   check "plan-cache hit rate above 99% after warmup" (hit_rate > 0.99);
   let lat = Obs.Trace.histogram_snapshot lat_h in
   metric "requests" (float_of_int total);
@@ -2359,29 +2360,55 @@ let e18 () =
              (fun k n acc -> Printf.sprintf "%s %d" k n :: acc)
              injected [])));
   (* -- Overload: graceful degradation under a request storm. -------- *)
-  (* A sub-zero queue-wait watermark puts the server deep past its
-     admission point from the first request (every estimate, even a
-     0 us uncontended one, exceeds it — the storm runs at far beyond
-     2x the watermark by construction), so it must shed with typed
-     retry hints, keep the control plane live, and keep every
-     surviving probe-admitted request correct. Latching the shed state
-     deterministically is the point: the assertion below is about the
-     degradation machinery, not about winning a timing race. *)
+  (* Blockers hold every in-flight slot: each sends a scan whose answer
+     outgrows the socket buffers and reads none of it until released.
+     The storm therefore meets a full server by construction, not by
+     winning a timing race: it must be shed with typed retry hints,
+     the control plane must stay live, and every request the server
+     admits (the blockers' included) must be answered correctly. *)
   let storm_clients = if !smoke then 4 else 8 in
   let storm_reqs = if !smoke then 8 else 25 in
+  let blockers = 2 in
   let config =
     {
       Serve.Server.default_config with
-      shed_queue_us = Some (-1.0);
-      shed_retry_after_s = 0.002;
-      max_inflight = storm_clients + 4;
-      max_sessions = storm_clients + 4;
+      max_inflight = blockers;
+      max_sessions = storm_clients + blockers + 4;
     }
   in
   let server = Serve.Server.create ~config ~executor:(exec ()) () in
   Serve.Server.add_instance server ~name:"bench" inst;
+  (* About 1 MB of answer per scan. *)
+  let blob =
+    Relational.Instance.of_facts
+      (List.init 8_000 (fun i ->
+           Relational.Fact.of_list "B"
+             [ Relational.Value.int i;
+               Relational.Value.str (String.make 120 'x') ]))
+  in
+  let blob_q = "H(x,y) <- B(x,y)" in
+  Serve.Server.add_instance server ~name:"blob" blob;
   let spath = sock "storm" in
   Serve.Server.listen_unix server ~path:spath;
+  (* Waits for a server state, for at most 30 s: a state never reached
+     shows up in the checks below. *)
+  let await cond =
+    let give_up = Unix.gettimeofday () +. 30.0 in
+    while
+      (not (cond (Serve.Server.stats server))) && Unix.gettimeofday () < give_up
+    do
+      Thread.delay 0.005
+    done
+  in
+  let blocker_fds =
+    List.init blockers (fun _ ->
+        let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+        Unix.connect fd (ADDR_UNIX spath);
+        Serve.Wire.write_request fd
+          (Execute { instance = "blob"; plan = Adhoc blob_q; mode = Local });
+        fd)
+  in
+  await (fun s -> s.active_requests = blockers);
   let was_enabled = Obs.Trace.is_enabled () in
   Obs.Trace.set_enabled true;
   let lat_h = Obs.Trace.histogram "e18.storm_latency_us" in
@@ -2389,8 +2416,8 @@ let e18 () =
   let expected_storm = Cq.Eval.eval (Cq.Parser.query triangle_q) inst in
   let unhealthy = Atomic.make 0 in
   let stop_probe = Atomic.make false in
-  (* A control client probes health throughout the storm: shedding
-     must never take the control plane down. *)
+  (* A control client probes health throughout the storm: a full
+     server must never take the control plane down. *)
   let prober =
     Thread.create
       (fun () ->
@@ -2433,15 +2460,34 @@ let e18 () =
         done)
   in
   let threads = List.init storm_clients (fun i -> Thread.create storm_thread i) in
+  (* Release the blockers once the storm has been refused: each reads
+     its whole answer, which frees its slot. *)
+  await (fun s -> s.shed >= storm_clients);
+  let expected_blob = Cq.Eval.eval (Cq.Parser.query blob_q) blob in
+  let blocked_ok =
+    List.map
+      (fun fd ->
+        let rec answer acc =
+          match Serve.Wire.read_response fd with
+          | Batch facts -> answer (List.rev_append facts acc)
+          | Done _ ->
+            Relational.Instance.equal expected_blob
+              (Relational.Instance.of_facts acc)
+          | _ -> false
+        in
+        Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> answer []))
+      blocker_fds
+    |> List.for_all Fun.id
+  in
   List.iter Thread.join threads;
   Atomic.set stop_probe true;
   Thread.join prober;
   let s = Serve.Server.stats server in
-  check "server shed load past the watermark" (s.shed > 0);
+  check "server shed the storm at the in-flight bound" (s.shed > 0);
   check "control plane stayed live through the storm"
     (Atomic.get unhealthy = 0);
   check "every admitted request was answered correctly"
-    (Atomic.get storm_mismatch = 0 && Atomic.get storm_err = 0);
+    (blocked_ok && Atomic.get storm_mismatch = 0 && Atomic.get storm_err = 0);
   let lat = Obs.Trace.histogram_snapshot lat_h in
   let p99 = Obs.Trace.percentile lat 0.99 in
   check "storm p99 bounded by the retry budget" (p99 < 60.0 *. 1e6);

@@ -852,8 +852,9 @@ let serve_cmd =
     Arg.(value & opt int 1024 & info [ "max-sessions" ] ~docv:"N" ~doc)
   in
   let max_inflight_arg =
-    let doc = "Maximum requests admitted into the engine at once; beyond \
-               this the server fast-rejects instead of queueing." in
+    let doc = "Maximum engine requests admitted at once; one more gets a \
+               typed Overloaded reply with a retry hint instead of \
+               queueing." in
     Arg.(value & opt int 64 & info [ "max-inflight" ] ~docv:"N" ~doc)
   in
   let plan_cache_arg =
@@ -877,8 +878,8 @@ let serve_cmd =
     in
     Arg.(value & flag & info [ "telemetry" ] ~doc)
   in
-  (* Hardening knobs: 0 disables a timeout/watermark (the option's
-     [None]), matching the library defaults where they differ. *)
+  (* Hardening knobs: 0 disables a timeout (the option's [None]),
+     matching the library defaults where they differ. *)
   let read_timeout_arg =
     let doc = "Deadline (seconds) for a started request frame to finish \
                arriving — defeats slow-loris senders. 0 waits forever." in
@@ -889,13 +890,6 @@ let serve_cmd =
                before it is hung up on. 0 (default) keeps idle sessions \
                forever." in
     Arg.(value & opt float 0.0 & info [ "idle-timeout" ] ~docv:"SECS" ~doc)
-  in
-  let reap_after_arg =
-    let doc = "Stalled-connection reaper: shut down any session without \
-               I/O activity for this long (seconds), including one stuck \
-               mid-request. Must exceed the longest legitimate request. \
-               0 (default) disables the reaper." in
-    Arg.(value & opt float 0.0 & info [ "reap-after" ] ~docv:"SECS" ~doc)
   in
   let max_frame_arg =
     let doc = "Cap (bytes) on an incoming frame's payload, checked before \
@@ -922,22 +916,10 @@ let serve_cmd =
       & opt int Serve.Server.default_config.dedup_max_bytes
       & info [ "dedup-max-bytes" ] ~docv:"BYTES" ~doc)
   in
-  let shed_queue_arg =
-    let doc = "Load-shedding watermark (microseconds) on the queue-wait \
-               EWMA: past it, engine requests get a typed Overloaded \
-               reply with a retry hint while health and scrapes still \
-               serve. 0 (default) disables shedding." in
-    Arg.(value & opt float 0.0 & info [ "shed-queue-us" ] ~docv:"USECS" ~doc)
-  in
-  let shed_retry_after_arg =
-    let doc = "The retry_after_s hint (seconds) carried by shed replies." in
-    Arg.(
-      value & opt float 0.05 & info [ "shed-retry-after" ] ~docv:"SECS" ~doc)
-  in
   let run socket port host inline file iname max_sessions max_inflight
       plan_cache batch quota strategy telemetry read_timeout
-      idle_timeout reap_after max_frame dedup_window dedup_max_bytes
-      shed_queue shed_retry_after backend domains trace profile =
+      idle_timeout max_frame dedup_window dedup_max_bytes backend domains
+      trace profile =
     wrap (fun () ->
         with_obs trace profile (fun () ->
             if telemetry then begin
@@ -969,12 +951,9 @@ let serve_cmd =
                 strategy;
                 read_timeout_s = opt_pos read_timeout;
                 idle_timeout_s = opt_pos idle_timeout;
-                reap_after_s = opt_pos reap_after;
                 max_frame;
                 dedup_window;
                 dedup_max_bytes;
-                shed_queue_us = opt_pos shed_queue;
-                shed_retry_after_s = shed_retry_after;
               }
             in
             with_executor backend domains (fun executor ->
@@ -1029,9 +1008,9 @@ let serve_cmd =
       $ instance_file_arg $ iname_arg $ max_sessions_arg $ max_inflight_arg
       $ plan_cache_arg $ batch_arg $ quota_arg
       $ plan_strategy_arg $ telemetry_arg $ read_timeout_arg
-      $ idle_timeout_arg $ reap_after_arg $ max_frame_arg $ dedup_window_arg
-      $ dedup_max_bytes_arg $ shed_queue_arg $ shed_retry_after_arg
-      $ backend_arg $ domains_arg $ trace_arg $ profile_arg)
+      $ idle_timeout_arg $ max_frame_arg $ dedup_window_arg
+      $ dedup_max_bytes_arg $ backend_arg $ domains_arg $ trace_arg
+      $ profile_arg)
 
 let timeout_arg =
   let doc =
@@ -1114,8 +1093,8 @@ let client_cmd =
                 s.pool_workers;
               Fmt.pr "plan cache: %d plans, %d hits, %d misses@."
                 s.plan_cache_size s.plan_cache_hits s.plan_cache_misses;
-              Fmt.pr "served: %d (%d rejected, %d throttled)@."
-                s.requests_served s.rejected s.throttled;
+              Fmt.pr "served: %d (%d shed, %d throttled, %d rejected)@."
+                s.requests_served s.shed s.throttled s.rejected;
               Fmt.pr "uptime: %.1fs@." s.uptime_s))
     in
     Cmd.v
@@ -1373,10 +1352,12 @@ let top_cmd =
     let pq v = if Float.is_nan v then "-" else Fmt.str "%.0f" v in
     Fmt.pr "lamp top — uptime %.0fs, %d sessions, %d active, %d in-flight@."
       s.uptime_s s.sessions s.active_requests s.executor_in_flight;
-    Fmt.pr "  qps      %8.1f   rejected/s %6.2f   throttled/s %6.2f@."
+    Fmt.pr
+      "  qps      %8.1f   shed/s %6.2f   throttled/s %6.2f   rejected/s %6.2f@."
       (rate "lamp_serve_requests_total")
-      (rate "lamp_serve_rejected_total")
-      (rate "lamp_serve_throttled_total");
+      (rate "lamp_serve_shed_total")
+      (rate "lamp_serve_throttled_total")
+      (rate "lamp_serve_rejected_total");
     let lookups = s.plan_cache_hits + s.plan_cache_misses in
     Fmt.pr "  plans    %8d   cache hit rate %s@."
       s.plan_cache_size

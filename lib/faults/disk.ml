@@ -130,103 +130,49 @@ let save t ~job ~round =
 (* ------------------------------------------------------------------ *)
 
 let pp_point ppf = function
-  | Torn_write f -> Fmt.pf ppf "torn:%g" f
+  | Torn_write f -> Fmt.pf ppf "torn:%s" (Grammar.num f)
   | Before_rename -> Fmt.string ppf "pre-rename"
   | After_rename -> Fmt.string ppf "post-rename"
 
 let point_of_string s =
   match String.trim s with
-  | "pre-rename" -> Some Before_rename
-  | "post-rename" -> Some After_rename
+  | "pre-rename" -> Before_rename
+  | "post-rename" -> After_rename
   | s -> (
-    match String.split_on_char ':' s with
-    | [ "torn"; f ] -> (
-      match float_of_string_opt (String.trim f) with
-      | Some f -> Some (Torn_write f)
-      | None -> None)
-    | _ -> None)
+    match Grammar.pair s with
+    | "torn", f -> Torn_write (Grammar.float f)
+    | _ -> raise Grammar.Bad_field)
+
+let field spec key v =
+  let open Grammar in
+  match (key, v) with
+  | "rot", Some v -> { spec with rot = float v }
+  | "truncate", Some v -> { spec with truncate = float v }
+  | "enospc", Some v -> { spec with enospc = float v }
+  | "litter", Some v -> { spec with litter = float v }
+  | "crash", Some v ->
+    let round, point = pair v in
+    { spec with crash = Some (int round, point_of_string point) }
+  | _ -> raise Bad_field
 
 let of_string ?(seed = 0) s =
-  (* Accept the [pp] echo: a trailing ["@seed=N"] names the seed the
-     plan was printed with, and wins over the [?seed] default so a
-     logged plan re-parses to the identical plan. *)
-  let s, seed =
-    match String.index_opt s '@' with
-    | Some i ->
-      let tail = String.trim (String.sub s (i + 1) (String.length s - i - 1)) in
-      (match String.split_on_char '=' tail with
-      | [ "seed"; n ] -> (
-        match int_of_string_opt (String.trim n) with
-        | Some n -> (String.sub s 0 i, n)
-        | None ->
-          invalid_arg
-            (Fmt.str "Faults.Disk.of_string: bad seed suffix %S" tail))
-      | _ ->
-        invalid_arg (Fmt.str "Faults.Disk.of_string: bad seed suffix %S" tail))
-    | None -> (s, seed)
-  in
-  match String.trim s with
-  | "" | "none" -> none
-  | "chaos" -> make ~seed chaos
-  | s ->
-    let parse_field spec field =
-      let fail () =
-        invalid_arg
-          (Fmt.str
-             "Faults.Disk.of_string: bad field %S (expected key=float among \
-              rot/truncate/enospc/litter, or crash=ROUND:POINT with POINT \
-              among torn:FRAC, pre-rename, post-rename)"
-             field)
-      in
-      match String.trim field with
-      | "" -> spec
-      | field -> (
-        match String.index_opt field '=' with
-        | None -> fail ()
-        | Some i ->
-          let key = String.trim (String.sub field 0 i) in
-          let v =
-            String.trim (String.sub field (i + 1) (String.length field - i - 1))
-          in
-          let f () =
-            match float_of_string_opt v with Some f -> f | None -> fail ()
-          in
-          (match key with
-          | "rot" -> { spec with rot = f () }
-          | "truncate" -> { spec with truncate = f () }
-          | "enospc" -> { spec with enospc = f () }
-          | "litter" -> { spec with litter = f () }
-          | "crash" -> (
-            match String.index_opt v ':' with
-            | None -> fail ()
-            | Some j -> (
-              let round = String.trim (String.sub v 0 j) in
-              let point = String.sub v (j + 1) (String.length v - j - 1) in
-              match (int_of_string_opt round, point_of_string point) with
-              | Some round, Some point ->
-                { spec with crash = Some (round, point) }
-              | _ -> fail ()))
-          | _ -> fail ()))
-    in
-    let spec = List.fold_left parse_field zero (String.split_on_char ',' s) in
-    make ~seed spec
+  Grammar.parse ~who:"Disk"
+    ~expected:
+      "key=float among rot/truncate/enospc/litter, or crash=ROUND:POINT \
+       with POINT among torn:FRAC, pre-rename, post-rename"
+    ~none ~chaos ~zero ~make field ~seed s
 
 let pp ppf = function
   | Off -> Fmt.string ppf "none"
   | On { seed; spec } ->
-    let fields =
-      (match spec.crash with
-      | Some (round, point) ->
-        [ Fmt.str "crash=%d:%a" round pp_point point ]
-      | None -> [])
-      @ List.filter_map
-          (fun (k, v) -> if v > 0.0 then Some (Fmt.str "%s=%g" k v) else None)
+    Grammar.pp ~seed ppf
+      ((match spec.crash with
+       | Some (round, point) -> [ Fmt.str "crash=%d:%a" round pp_point point ]
+       | None -> [])
+      @ Grammar.probs
           [
             ("rot", spec.rot);
             ("truncate", spec.truncate);
             ("enospc", spec.enospc);
             ("litter", spec.litter);
-          ]
-    in
-    let body = match fields with [] -> "none" | _ -> String.concat "," fields in
-    Fmt.pf ppf "%s@@seed=%d" body seed
+          ])

@@ -176,97 +176,51 @@ let connection t ~conn =
 
 (* ------------------------------------------------------------------ *)
 
+let field spec key v =
+  let open Grammar in
+  match (key, v) with
+  | "refuse", Some v -> { spec with refuse = float v }
+  | "delay", Some v -> { spec with accept_delay = float v }
+  | "delay_s", Some v -> { spec with accept_delay_s = float v }
+  | "reset", Some v -> { spec with reset = float v }
+  | "truncate", Some v -> { spec with truncate = float v }
+  | "stall", Some v -> { spec with stall = float v }
+  | "stall_s", Some v -> { spec with stall_s = float v }
+  | "trickle", Some v -> { spec with trickle = float v }
+  | "flip", Some v -> { spec with flip = float v }
+  | "window", Some v -> { spec with window = int v }
+  | _ -> raise Bad_field
+
 let of_string ?(seed = 0) s =
-  (* Accept the [pp] echo: a trailing ["@seed=N"] names the seed the
-     plan was printed with, and wins over the [?seed] default so a
-     logged plan re-parses to the identical plan. *)
-  let s, seed =
-    match String.index_opt s '@' with
-    | Some i ->
-      let tail = String.trim (String.sub s (i + 1) (String.length s - i - 1)) in
-      (match String.split_on_char '=' tail with
-      | [ "seed"; n ] -> (
-        match int_of_string_opt (String.trim n) with
-        | Some n -> (String.sub s 0 i, n)
-        | None ->
-          invalid_arg
-            (Fmt.str "Faults.Net.of_string: bad seed suffix %S" tail))
-      | _ ->
-        invalid_arg (Fmt.str "Faults.Net.of_string: bad seed suffix %S" tail))
-    | None -> (s, seed)
-  in
-  match String.trim s with
-  | "" | "none" -> none
-  | "chaos" -> make ~seed chaos
-  | s ->
-    let parse_field spec field =
-      let fail () =
-        invalid_arg
-          (Fmt.str
-             "Faults.Net.of_string: bad field %S (expected key=float among \
-              refuse/delay/reset/truncate/stall/trickle/flip, key=seconds \
-              among delay_s/stall_s, or window=BYTES)"
-             field)
-      in
-      match String.trim field with
-      | "" -> spec
-      | field -> (
-        match String.index_opt field '=' with
-        | None -> fail ()
-        | Some i ->
-          let key = String.trim (String.sub field 0 i) in
-          let v =
-            String.trim (String.sub field (i + 1) (String.length field - i - 1))
-          in
-          let f () =
-            match float_of_string_opt v with Some f -> f | None -> fail ()
-          in
-          let n () =
-            match int_of_string_opt v with Some n -> n | None -> fail ()
-          in
-          (match key with
-          | "refuse" -> { spec with refuse = f () }
-          | "delay" -> { spec with accept_delay = f () }
-          | "delay_s" -> { spec with accept_delay_s = f () }
-          | "reset" -> { spec with reset = f () }
-          | "truncate" -> { spec with truncate = f () }
-          | "stall" -> { spec with stall = f () }
-          | "stall_s" -> { spec with stall_s = f () }
-          | "trickle" -> { spec with trickle = f () }
-          | "flip" -> { spec with flip = f () }
-          | "window" -> { spec with window = n () }
-          | _ -> fail ()))
-    in
-    let spec = List.fold_left parse_field zero (String.split_on_char ',' s) in
-    make ~seed spec
+  Grammar.parse ~who:"Net"
+    ~expected:
+      "key=float among refuse/delay/reset/truncate/stall/trickle/flip, \
+       key=seconds among delay_s/stall_s, or window=BYTES"
+    ~none ~chaos ~zero ~make field ~seed s
 
 let pp ppf = function
   | Off -> Fmt.string ppf "none"
   | On { seed; spec } ->
-    let fields =
-      List.filter_map
-        (fun (k, v) -> if v > 0.0 then Some (Fmt.str "%s=%g" k v) else None)
-        [
-          ("refuse", spec.refuse);
-          ("delay", spec.accept_delay);
-          ("reset", spec.reset);
-          ("truncate", spec.truncate);
-          ("stall", spec.stall);
-          ("trickle", spec.trickle);
-          ("flip", spec.flip);
-        ]
+    Grammar.pp ~seed ppf
+      (Grammar.probs
+         [
+           ("refuse", spec.refuse);
+           ("delay", spec.accept_delay);
+           ("reset", spec.reset);
+           ("truncate", spec.truncate);
+           ("stall", spec.stall);
+           ("trickle", spec.trickle);
+           ("flip", spec.flip);
+         ]
       @ (if spec.accept_delay > 0.0 && spec.accept_delay_s <> zero.accept_delay_s
-         then [ Fmt.str "delay_s=%g" spec.accept_delay_s ]
+         then [ "delay_s=" ^ Grammar.num spec.accept_delay_s ]
          else [])
       @ (if spec.stall > 0.0 && spec.stall_s <> zero.stall_s then
-           [ Fmt.str "stall_s=%g" spec.stall_s ]
+           [ "stall_s=" ^ Grammar.num spec.stall_s ]
          else [])
       @
       if spec.window <> zero.window then [ Fmt.str "window=%d" spec.window ]
-      else []
-    in
-    let body = match fields with [] -> "none" | _ -> String.concat "," fields in
-    Fmt.pf ppf "%s@@seed=%d" body seed
+      else [])
 
 (* ------------------------------------------------------------------ *)
 (* The chaos proxy: a real listening socket that relays every accepted

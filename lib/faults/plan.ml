@@ -236,84 +236,48 @@ let perma_crash t ~round =
 
 (* ------------------------------------------------------------------ *)
 
+let field spec key v =
+  let open Grammar in
+  match (key, v) with
+  | "reorder", None -> { spec with reorder = true }
+  | "crash", Some v -> { spec with crash = float v }
+  | "drop", Some v -> { spec with drop = float v }
+  | ("dup" | "duplicate"), Some v -> { spec with duplicate = float v }
+  | "delay", Some v -> { spec with delay = float v }
+  | "straggle", Some v -> { spec with straggle = float v }
+  | "transient", Some v -> { spec with transient = float v }
+  | "speculate", Some v -> { spec with speculate = float v }
+  | "kill", Some v -> { spec with kill_after = Some (int v) }
+  | "perma", Some v ->
+    let r, s = pair v in
+    { spec with perma = Some (int r, int s) }
+  | _ -> raise Bad_field
+
 let of_string ?(seed = 0) s =
-  match String.trim s with
-  | "" | "none" -> none
-  | "chaos" -> make ~seed chaos
-  | s ->
-    let parse_field spec field =
-      let fail () =
-        invalid_arg
-          (Fmt.str
-             "Faults.Plan.of_string: bad field %S (expected key=float among \
-              crash/drop/dup/delay/straggle/transient/speculate, kill=ROUND, \
-              perma=ROUND:SERVER, or the flag reorder)"
-             field)
-      in
-      match String.trim field with
-      | "" -> spec
-      | "reorder" -> { spec with reorder = true }
-      | field -> (
-        match String.index_opt field '=' with
-        | None -> fail ()
-        | Some i ->
-          let key = String.trim (String.sub field 0 i) in
-          let v =
-            String.trim (String.sub field (i + 1) (String.length field - i - 1))
-          in
-          let f () =
-            match float_of_string_opt v with Some f -> f | None -> fail ()
-          in
-          let n () =
-            match int_of_string_opt v with Some n -> n | None -> fail ()
-          in
-          (match key with
-          | "crash" -> { spec with crash = f () }
-          | "drop" -> { spec with drop = f () }
-          | "dup" | "duplicate" -> { spec with duplicate = f () }
-          | "delay" -> { spec with delay = f () }
-          | "straggle" -> { spec with straggle = f () }
-          | "transient" -> { spec with transient = f () }
-          | "speculate" -> { spec with speculate = f () }
-          | "kill" -> { spec with kill_after = Some (n ()) }
-          | "perma" -> (
-            match String.index_opt v ':' with
-            | None -> fail ()
-            | Some j ->
-              let r = String.sub v 0 j
-              and s = String.sub v (j + 1) (String.length v - j - 1) in
-              (match (int_of_string_opt r, int_of_string_opt s) with
-              | Some r, Some s -> { spec with perma = Some (r, s) }
-              | _ -> fail ()))
-          | _ -> fail ()))
-    in
-    let spec =
-      List.fold_left parse_field zero (String.split_on_char ',' s)
-    in
-    make ~seed spec
+  Grammar.parse ~who:"Plan"
+    ~expected:
+      "key=float among crash/drop/dup/delay/straggle/transient/speculate, \
+       kill=ROUND, perma=ROUND:SERVER, or the flag reorder"
+    ~none ~chaos ~zero ~make field ~seed s
 
 let pp ppf = function
   | Off -> Fmt.string ppf "none"
   | On { seed; spec } ->
-    let fields =
-      List.filter_map
-        (fun (k, v) -> if v > 0.0 then Some (Fmt.str "%s=%g" k v) else None)
-        [
-          ("crash", spec.crash);
-          ("drop", spec.drop);
-          ("dup", spec.duplicate);
-          ("delay", spec.delay);
-          ("straggle", spec.straggle);
-          ("transient", spec.transient);
-          ("speculate", spec.speculate);
-        ]
+    Grammar.pp ~seed ppf
+      (Grammar.probs
+         [
+           ("crash", spec.crash);
+           ("drop", spec.drop);
+           ("dup", spec.duplicate);
+           ("delay", spec.delay);
+           ("straggle", spec.straggle);
+           ("transient", spec.transient);
+           ("speculate", spec.speculate);
+         ]
       @ (match spec.kill_after with
         | Some k -> [ Fmt.str "kill=%d" k ]
         | None -> [])
       @ (match spec.perma with
         | Some (r, s) -> [ Fmt.str "perma=%d:%d" r s ]
         | None -> [])
-      @ (if spec.reorder then [ "reorder" ] else [])
-    in
-    let body = match fields with [] -> "none" | _ -> String.concat "," fields in
-    Fmt.pf ppf "%s@@seed=%d" body seed
+      @ if spec.reorder then [ "reorder" ] else [])

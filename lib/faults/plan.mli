@@ -71,11 +71,13 @@ val of_string : ?seed:int -> string -> t
     [crash], [drop], [dup], [delay], [straggle], [transient],
     [speculate] (floats), [kill=ROUND], [perma=ROUND:SERVER] (ints)
     and the bare flag [reorder]; ["none"] or [""] is {!none} and
-    ["chaos"] is the {!chaos} preset.
+    ["chaos"] is the {!chaos} preset. A trailing ["@seed=N"] (the
+    {!pp} echo) names the seed and takes precedence over [?seed], so a
+    logged plan re-parses to the identical plan.
     @raise Invalid_argument on malformed input. *)
 
 val pp : t Fmt.t
-(** Canonical form accepted by {!of_string}, plus the seed. *)
+(** Canonical [spec@seed=N] form, accepted verbatim by {!of_string}. *)
 
 val draw : seed:int -> label:int -> int -> int -> int -> float
 (** The raw deterministic draw underlying every decision: a uniform

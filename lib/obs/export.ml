@@ -342,7 +342,7 @@ let openmetrics () =
       om_header buf seen ~raw ~base "counter";
       Buffer.add_string buf (Printf.sprintf "%s_total%s %d\n" base labels v))
     (Trace.counters ~all:true ());
-  (* Gauges: settable values and on-demand callbacks. *)
+  (* Gauges: on-demand callbacks. *)
   List.iter
     (fun (name, v) ->
       let raw, labels = Metrics.split_labels name in

@@ -27,8 +27,8 @@ val openmetrics : unit -> string
 (** A Prometheus-scrapable snapshot of the whole registry: every
     {!Trace} counter ([lamp_<name>_total], zeros included) and
     histogram (cumulative [_bucket{le="..."}]/[_sum]/[_count] over the
-    power-of-two bounds), every {!Metrics} gauge (settable and
-    callback), labeled family cells with their labels re-attached,
+    power-of-two bounds), every {!Metrics} callback gauge, labeled
+    names ({!Metrics.render_labels}) with their labels re-attached,
     [# HELP]/[# TYPE] headers from {!Metrics.describe}, the latest
     {!Sketch} skew report as [lamp_skew_*] gauges and
     [lamp_skew_top{rank,key}] entries, and a final [# EOF]. Metric

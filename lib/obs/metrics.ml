@@ -1,26 +1,17 @@
 (* The metrics registry: the live-telemetry layer over Trace's atomic
    counters and histograms.
 
-   Trace (PR 3) is a batch collector — record everything, export once
-   at exit. This module adds what a *running* server needs to be
-   scraped while it works:
-
-   - gauges: current-value signals. Settable gauges are one atomic
-     store (cheap enough to keep unconditionally accurate); callback
-     gauges are evaluated only at snapshot time, so "sessions
-     connected" or "uptime" cost nothing between scrapes.
-   - labeled families: counters/histograms fanned out by label values,
-     rendered into the Trace registries as [name{k="v"}] cells so one
-     reset/snapshot path covers them.
-   - snapshots and sliding windows: a [snapshot] captures every
-     counter, gauge and histogram at one instant (zeros included — a
-     scraper must see a counter exist before it moves); a [window] is
-     a ring of snapshots supporting per-window rates and quantiles by
-     subtracting the oldest snapshot from the newest.
+   Trace is a batch collector — record everything, export once at
+   exit. This module adds what a *running* server needs to be scraped
+   while it works: HELP/TYPE metadata for the expositor, callback
+   gauges (current-value signals evaluated only at scrape time, so
+   "sessions connected" or "uptime" cost nothing between scrapes), and
+   the [name{k="v"}] label rendering the expositor splits back. Windows
+   over successive scrapes are the scraper's business
+   (Export.window_buckets / window_quantile).
 
    Everything here is read-only on the instrumented program and safe
-   from any domain: the registries reuse Trace's mutex discipline, and
-   window state takes its own lock. *)
+   from any domain. *)
 
 (* ------------------------------------------------------------------ *)
 (* Help/type metadata, read by the OpenMetrics expositor.              *)
@@ -52,30 +43,8 @@ let kind name =
 (* ------------------------------------------------------------------ *)
 (* Gauges                                                              *)
 
-type gauge = {
-  g_name : string;
-  g : int Atomic.t;
-}
-
 let gauge_mutex = Mutex.create ()
-let gauge_registry : (string, gauge) Hashtbl.t = Hashtbl.create 16
 let callback_registry : (string, unit -> float) Hashtbl.t = Hashtbl.create 16
-
-let gauge name =
-  Mutex.protect gauge_mutex (fun () ->
-      match Hashtbl.find_opt gauge_registry name with
-      | Some g -> g
-      | None ->
-        let g = { g_name = name; g = Atomic.make 0 } in
-        Hashtbl.add gauge_registry name g;
-        g)
-
-(* Unconditional: a gauge write is one atomic store with no allocation,
-   and a stale gauge is worse than a cheap one — the scrape endpoints
-   must reflect current state even if the caller never enabled event
-   tracing. *)
-let set g v = Atomic.set g.g v
-let gauge_value g = Atomic.get g.g
 
 let register_callback name f =
   Mutex.protect gauge_mutex (fun () ->
@@ -85,12 +54,6 @@ let unregister_callback name =
   Mutex.protect gauge_mutex (fun () -> Hashtbl.remove callback_registry name)
 
 let gauges () =
-  let settable =
-    Mutex.protect gauge_mutex (fun () ->
-        Hashtbl.fold
-          (fun name g acc -> (name, float_of_int (Atomic.get g.g)) :: acc)
-          gauge_registry [])
-  in
   (* Callbacks are evaluated outside the registry lock: they may read
      state protected by their owner's locks (e.g. the serve layer), and
      holding ours across foreign code invites ordering trouble. *)
@@ -104,15 +67,14 @@ let gauges () =
         (name, match f () with v -> v | exception _ -> Float.nan))
       callbacks
   in
-  List.sort compare (settable @ called)
+  List.sort compare called
 
 (* ------------------------------------------------------------------ *)
-(* Labeled families                                                    *)
+(* Labels                                                              *)
 
-(* A family fans one metric name out by label values. Cells live in the
-   Trace registries under the rendered name [base{k="v",...}], so
-   Trace.reset, Trace.counters ~all and the expositor all see them with
-   no extra bookkeeping here. *)
+(* A labeled metric lives in the Trace registries under the rendered
+   name [base{k="v",...}], so Trace.reset, Trace.counters ~all and the
+   expositor all see it with no extra bookkeeping here. *)
 
 let escape_label_value v =
   let buf = Buffer.create (String.length v + 2) in
@@ -151,141 +113,3 @@ let split_labels name =
   | None -> (name, "")
   | Some i ->
     (String.sub name 0 i, String.sub name i (String.length name - i))
-
-type 'a family = {
-  fam_name : string;
-  fam_cell : string -> 'a;
-}
-
-let counter_family ?help:h name =
-  describe ?help:h ~kind:Counter name;
-  { fam_name = name; fam_cell = Trace.counter }
-
-let histogram_family ?help:h name =
-  describe ?help:h ~kind:Histogram name;
-  { fam_name = name; fam_cell = Trace.histogram }
-
-let cell fam labels = fam.fam_cell (render_labels fam.fam_name labels)
-
-(* ------------------------------------------------------------------ *)
-(* Snapshots                                                           *)
-
-type snapshot = {
-  at : float;  (** {!Trace.now} at capture *)
-  counters : (string * int) list;
-  gauges : (string * float) list;
-  histograms : (string * Trace.histogram_snapshot) list;
-}
-
-let snapshot () =
-  {
-    at = Trace.now ();
-    counters = Trace.counters ~all:true ();
-    gauges = gauges ();
-    histograms = Trace.histograms ~all:true ();
-  }
-
-(* Windowed view of a histogram: newer minus older, bucket by bucket.
-   Negative differences (a reset between the two snapshots) clamp to
-   zero rather than going nonsensical. max_value cannot be windowed
-   from bucket data; the newer snapshot's max is kept as the bound. *)
-let snapshot_diff ~(newer : Trace.histogram_snapshot)
-    ~(older : Trace.histogram_snapshot) : Trace.histogram_snapshot =
-  let older_count ub =
-    match List.assoc_opt ub older.buckets with Some c -> c | None -> 0
-  in
-  let buckets =
-    List.filter_map
-      (fun (ub, c) ->
-        let d = c - older_count ub in
-        if d > 0 then Some (ub, d) else None)
-      newer.buckets
-  in
-  {
-    count = max 0 (newer.count - older.count);
-    sum = max 0 (newer.sum - older.sum);
-    max_value = newer.max_value;
-    buckets;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Sliding windows                                                     *)
-
-type window = {
-  w_mutex : Mutex.t;
-  slots : snapshot option array;  (* circular, oldest overwritten *)
-  mutable w_pos : int;
-  mutable w_len : int;
-}
-
-let window ?(slots = 60) () =
-  {
-    w_mutex = Mutex.create ();
-    slots = Array.make (max 2 slots) None;
-    w_pos = 0;
-    w_len = 0;
-  }
-
-let push w s =
-  Mutex.protect w.w_mutex (fun () ->
-      w.slots.(w.w_pos) <- Some s;
-      w.w_pos <- (w.w_pos + 1) mod Array.length w.slots;
-      if w.w_len < Array.length w.slots then w.w_len <- w.w_len + 1)
-
-let tick w =
-  let s = snapshot () in
-  push w s;
-  s
-
-let length w = Mutex.protect w.w_mutex (fun () -> w.w_len)
-
-let nth_back w i =
-  (* i = 0 is the newest slot. Caller holds w_mutex. *)
-  let cap = Array.length w.slots in
-  w.slots.((w.w_pos - 1 - i + (2 * cap)) mod cap)
-
-let ends w =
-  Mutex.protect w.w_mutex (fun () ->
-      if w.w_len < 2 then None
-      else
-        match (nth_back w (w.w_len - 1), nth_back w 0) with
-        | Some oldest, Some newest -> Some (oldest, newest)
-        | _ -> None)
-
-let span w =
-  match ends w with
-  | Some (oldest, newest) -> Float.max 0.0 (newest.at -. oldest.at)
-  | None -> 0.0
-
-let counter_of s name =
-  match List.assoc_opt name s.counters with Some v -> v | None -> 0
-
-let delta w name =
-  match ends w with
-  | Some (oldest, newest) ->
-    max 0 (counter_of newest name - counter_of oldest name)
-  | None -> 0
-
-let rate w name =
-  match ends w with
-  | Some (oldest, newest) ->
-    let dt = newest.at -. oldest.at in
-    if dt <= 0.0 then 0.0 else float_of_int (delta w name) /. dt
-  | None -> 0.0
-
-let hist_delta w name =
-  match ends w with
-  | Some (oldest, newest) -> (
-    match
-      ( List.assoc_opt name newest.histograms,
-        List.assoc_opt name oldest.histograms )
-    with
-    | Some n, Some o -> Some (snapshot_diff ~newer:n ~older:o)
-    | Some n, None -> Some n
-    | _ -> None)
-  | None -> None
-
-let quantile w name q =
-  match hist_delta w name with
-  | Some s when s.count > 0 -> Trace.percentile s q
-  | _ -> 0.0

@@ -4,17 +4,13 @@
     and are exported once at exit. This module adds what a running
     server needs to be observed {e while it works}:
 
-    - {e gauges}: current-value signals, either settable (one atomic
-      store) or computed by a callback at snapshot time;
-    - {e labeled families}: one metric name fanned out by label
-      values, each cell a plain {!Trace} counter/histogram registered
-      under the rendered name [name{k="v"}];
-    - {e snapshots} and {e sliding windows}: a consistent capture of
-      every counter/gauge/histogram (zeros included), and a ring of
-      such captures supporting per-window rates and quantiles —
-      exactly the arithmetic [lamp top] and the OpenMetrics scrape
-      path need.
+    - HELP/TYPE metadata the expositor emits;
+    - {e callback gauges}: current-value signals computed at scrape
+      time;
+    - the [name{k="v"}] rendering of labeled metric names.
 
+    Rates and quantiles over a window are computed by the scraper from
+    two scrapes ({!Export.window_buckets}, {!Export.window_quantile}).
     Everything is read-only on the instrumented program and safe from
     any domain. The OpenMetrics text exposition lives in
     {!Export.openmetrics}. *)
@@ -35,89 +31,23 @@ val kind : string -> kind option
 
 (** {1 Gauges} *)
 
-type gauge
-
-val gauge : string -> gauge
-(** Get-or-create by name, {!Trace.counter} registry discipline. *)
-
-val set : gauge -> int -> unit
-(** One atomic store, {e not} gated on {!Trace.is_enabled}: a gauge
-    must reflect current state whenever it is scraped. *)
-
-val gauge_value : gauge -> int
-
 val register_callback : string -> (unit -> float) -> unit
 (** A gauge computed on demand: evaluated (outside registry locks) at
-    each {!snapshot}/{!gauges} call, never between. A raising callback
-    yields [nan] rather than killing the scrape. *)
+    each {!gauges} call, never between. A raising callback yields
+    [nan] rather than killing the scrape. *)
 
 val unregister_callback : string -> unit
 
 val gauges : unit -> (string * float) list
-(** All settable and callback gauges, sorted by name. *)
+(** Every callback gauge, evaluated now, sorted by name. *)
 
-(** {1 Labeled families} *)
-
-type 'a family
-
-val counter_family : ?help:string -> string -> Trace.counter family
-val histogram_family : ?help:string -> string -> Trace.histogram family
-
-val cell : 'a family -> (string * string) list -> 'a
-(** [cell fam labels] is the family member for these label values —
-    a plain {!Trace} counter/histogram named [name{k="v",...}].
-    Get-or-create; call sites should bind cells once, not per event. *)
+(** {1 Labels} *)
 
 val render_labels : string -> (string * string) list -> string
+(** [render_labels "f" [("k", "v")]] = ["f{k=\"v\"}"], the name under
+    which a labeled {!Trace} counter or histogram is registered; label
+    values are escaped. No labels yields the bare name. *)
+
 val split_labels : string -> string * string
 (** [split_labels "f{k=\"v\"}"] = [("f", "{k=\"v\"}")]; a plain name
     yields [(name, "")]. Used by the expositor to re-attach labels. *)
-
-(** {1 Snapshots} *)
-
-type snapshot = {
-  at : float;  (** {!Trace.now} at capture *)
-  counters : (string * int) list;  (** every counter, zeros included *)
-  gauges : (string * float) list;
-  histograms : (string * Trace.histogram_snapshot) list;
-}
-
-val snapshot : unit -> snapshot
-
-val snapshot_diff :
-  newer:Trace.histogram_snapshot ->
-  older:Trace.histogram_snapshot ->
-  Trace.histogram_snapshot
-(** Bucket-wise difference — the histogram of observations that landed
-    between the two captures. Negative diffs (a reset in between)
-    clamp to zero; [max_value] is the newer snapshot's. *)
-
-(** {1 Sliding windows} *)
-
-type window
-(** A ring of {!snapshot}s. Rates and quantiles are computed between
-    the oldest and newest captures still in the ring, so with
-    one-second ticks and [slots = 60] every reading is a trailing
-    60-second view. *)
-
-val window : ?slots:int -> unit -> window
-(** [slots] defaults to 60 and is clamped to at least 2. *)
-
-val tick : window -> snapshot
-(** Capture a snapshot, push it (evicting the oldest when full), and
-    return it. *)
-
-val length : window -> int
-val span : window -> float
-(** Seconds between the oldest and newest captures; [0.] until two. *)
-
-val delta : window -> string -> int
-(** Counter increase across the window ([0] until two captures). *)
-
-val rate : window -> string -> float
-(** [delta / span] per second; [0.] until two captures. *)
-
-val hist_delta : window -> string -> Trace.histogram_snapshot option
-val quantile : window -> string -> float -> float
-(** Quantile of the observations that landed {e within} the window
-    (via {!snapshot_diff} + {!Trace.percentile}); [0.] when empty. *)

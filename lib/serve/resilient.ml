@@ -6,7 +6,6 @@ type config = {
   base_delay_s : float;
   max_delay_s : float;
   budget_s : float option;
-  retry_rejected : bool;
 }
 
 let default_config =
@@ -16,7 +15,6 @@ let default_config =
     base_delay_s = 0.001;
     max_delay_s = 0.25;
     budget_s = Some 10.0;
-    retry_rejected = false;
   }
 
 type t = {
@@ -103,9 +101,10 @@ let fresh_key t =
    A failure is worth another attempt when the transport broke, when
    the server asked us to back off ([Overloaded]), or when it could
    not even decode our frame ([Corrupt_frame] — the op never ran).
-   Rejected (quota) errors are retryable only by configuration. A lost
-   connection is always retryable: every engine op carries its
-   idempotency key, so the server replays instead of re-applying. *)
+   [Throttled] (the client's own quota) and [Rejected] (the server is
+   full of sessions) are final. A lost connection is always
+   retryable: every engine op carries its idempotency key, so the
+   server replays instead of re-applying. *)
 let run t f =
   Mutex.protect t.mutex (fun () ->
       let delay =
@@ -116,7 +115,6 @@ let run t f =
         | Client.Connection_lost _ | Client.Timed_out _
         | Client.Server_error ((Overloaded _ | Corrupt_frame), _) ->
           true
-        | Client.Server_error (Rejected, _) -> t.config.retry_rejected
         | _ -> false
       in
       Executor.with_retry ~max_attempts:t.config.max_attempts ~delay

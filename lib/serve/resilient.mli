@@ -5,10 +5,12 @@
     ({!Lamp_runtime.Executor.with_retry} with
     {!Lamp_runtime.Executor.exponential_backoff}): when an attempt
     fails with a {e retryable} error — {!Client.Connection_lost},
-    {!Client.Timed_out}, a server [Overloaded] (whose [retry_after_s]
-    floors the next sleep) or [Corrupt_frame] reply, and optionally
-    [Rejected] — the wrapper reconnects, re-runs {!Client.hello} under
-    the same stable client name, and re-issues the request.
+    {!Client.Timed_out}, or a server [Overloaded] (whose
+    [retry_after_s] floors the next sleep) or [Corrupt_frame] reply —
+    the wrapper reconnects, re-runs {!Client.hello} under the same
+    stable client name, and re-issues the request. [Throttled] (the
+    client's quota) and [Rejected] (the server is full of sessions)
+    are final.
 
     Re-issuing is safe because every {!prepare}/{!execute}/{!ingest}
     carries an idempotency key drawn from a per-wrapper counter: the
@@ -41,15 +43,10 @@ type config = {
   budget_s : float option;
       (** Cumulative sleep budget across one operation's retries; a
           retry that would exceed it propagates the failure instead. *)
-  retry_rejected : bool;
-      (** Also retry [Rejected] (quota) errors. Off by default: pacing
-          out a quota rejection is a policy decision, not a transport
-          recovery. *)
 }
 
 val default_config : config
-(** 5 attempts, seed 1, 1ms base / 250ms cap, 10s budget,
-    [retry_rejected = false]. *)
+(** 5 attempts, seed 1, 1ms base / 250ms cap, 10s budget. *)
 
 type t
 

@@ -20,11 +20,8 @@ type config = {
   read_timeout_s : float option;
   write_timeout_s : float option;
   idle_timeout_s : float option;
-  reap_after_s : float option;
   dedup_window : int;
   dedup_max_bytes : int;
-  shed_queue_us : float option;
-  shed_retry_after_s : float;
 }
 
 let default_config =
@@ -40,11 +37,8 @@ let default_config =
     read_timeout_s = Some 30.0;
     write_timeout_s = Some 30.0;
     idle_timeout_s = None;
-    reap_after_s = None;
     dedup_window = 1024;
     dedup_max_bytes = 1 lsl 20;
-    shed_queue_us = None;
-    shed_retry_after_s = 0.05;
   }
 
 (* [handle] is the engine handle: the interned-tuple view of [data]
@@ -85,8 +79,8 @@ type t = {
   quotas : (string, Quota.t) Hashtbl.t;
   mutable listeners : Unix.file_descr list;
   mutable acceptors : Thread.t list;
-  (* Each session's last-activity timestamp, for the reaper. *)
-  session_fds : (Unix.file_descr, float ref) Hashtbl.t;
+  (* Live session sockets, for [stop] to shut down. *)
+  session_fds : (Unix.file_descr, unit) Hashtbl.t;
   mutable session_count : int;
   mutable stopped : bool;
   active : int Atomic.t;
@@ -98,10 +92,11 @@ type t = {
   deduped_n : int Atomic.t;
   shed_n : int Atomic.t;
   reaped_n : int Atomic.t;
-  shedding : bool Atomic.t;
-  shed_probe : int Atomic.t;
-  qwait_ewma_us : float Atomic.t;
-  mutable reaper : Thread.t option;
+  (* Engine service time (how long the engine lock is held), summed
+     over [engine_ops] holds: their ratio prices an [Overloaded]
+     reply's retry hint. *)
+  engine_us : int Atomic.t;
+  engine_ops : int Atomic.t;
 }
 
 let requests_c = Trace.counter "serve.requests"
@@ -115,10 +110,10 @@ let request_h = Trace.histogram "serve.request_us"
 
 let () =
   Metrics.describe ~kind:Metrics.Counter
-    ~help:"Requests received, including rejected and throttled ones"
+    ~help:"Requests received, including shed and throttled ones"
     "serve.requests";
   Metrics.describe ~kind:Metrics.Counter
-    ~help:"Requests refused by admission control" "serve.rejected";
+    ~help:"Connections refused at max_sessions" "serve.rejected";
   Metrics.describe ~kind:Metrics.Counter
     ~help:"Requests refused by a client's token bucket" "serve.throttled";
   Metrics.describe ~kind:Metrics.Counter
@@ -126,10 +121,9 @@ let () =
            re-executed"
     "serve.deduped";
   Metrics.describe ~kind:Metrics.Counter
-    ~help:"Requests rejected with Overloaded while load shedding"
-    "serve.shed";
+    ~help:"Requests refused with Overloaded at max_inflight" "serve.shed";
   Metrics.describe ~kind:Metrics.Counter
-    ~help:"Sessions torn down by a deadline, idle timeout or the reaper"
+    ~help:"Sessions cut off by the idle, read or write deadline"
     "serve.reaped";
   Metrics.describe ~kind:Metrics.Histogram
     ~help:"Wait for the engine lock, microseconds" "serve.queue_wait_us";
@@ -151,44 +145,7 @@ let register_gauges t =
   Metrics.register_callback "serve.plan_cache_size" (fun () ->
       float_of_int (Cache.length t.plan_cache));
   Metrics.register_callback "serve.uptime_s" (fun () ->
-      Unix.gettimeofday () -. t.started);
-  Metrics.register_callback "serve.shedding" (fun () ->
-      if Atomic.get t.shedding then 1.0 else 0.0);
-  Metrics.register_callback "serve.queue_wait_ewma_us" (fun () ->
-      Atomic.get t.qwait_ewma_us)
-
-(* The stalled-connection reaper: shuts down any session whose last
-   I/O activity is older than [reap_after_s]. The session thread's
-   blocked read then fails and the session unwinds through its normal
-   cleanup. The limit is a hard staleness cap — it must exceed the
-   longest legitimate request (engine time included).
-
-   The shutdown runs while [t.lock] is held: a session removes itself
-   from [session_fds] (under the lock) {e before} closing its fd, so a
-   descriptor still in the table cannot be concurrently closed — and
-   its number cannot be reused by a fresh connection between the
-   staleness check and the shutdown. Shutting down after releasing the
-   lock would race exactly that reuse and could sever a healthy new
-   session. *)
-let reaper_loop t limit =
-  let rec loop () =
-    if not (Mutex.protect t.lock (fun () -> t.stopped)) then begin
-      Thread.delay 0.25;
-      let now = Unix.gettimeofday () in
-      Mutex.protect t.lock (fun () ->
-          Hashtbl.iter
-            (fun fd last ->
-              if now -. !last > limit then begin
-                Atomic.incr t.reaped_n;
-                Trace.incr reaped_c;
-                try Unix.shutdown fd SHUTDOWN_ALL
-                with Unix.Unix_error _ -> ()
-              end)
-            t.session_fds);
-      loop ()
-    end
-  in
-  loop ()
+      Unix.gettimeofday () -. t.started)
 
 let create ?(config = default_config) ~executor () =
   if config.max_sessions < 1 then invalid_arg "Server: max_sessions < 1";
@@ -197,8 +154,6 @@ let create ?(config = default_config) ~executor () =
   if config.max_frame < 1 then invalid_arg "Server: max_frame < 1";
   if config.dedup_max_bytes < 1 then
     invalid_arg "Server: dedup_max_bytes < 1";
-  if config.shed_retry_after_s < 0.0 then
-    invalid_arg "Server: shed_retry_after_s < 0";
   let t = {
     config;
     executor;
@@ -227,16 +182,10 @@ let create ?(config = default_config) ~executor () =
     deduped_n = Atomic.make 0;
     shed_n = Atomic.make 0;
     reaped_n = Atomic.make 0;
-    shedding = Atomic.make false;
-    shed_probe = Atomic.make 0;
-    qwait_ewma_us = Atomic.make 0.0;
-    reaper = None;
+    engine_us = Atomic.make 0;
+    engine_ops = Atomic.make 0;
   } in
   register_gauges t;
-  (match config.reap_after_s with
-  | Some limit when limit > 0.0 ->
-    t.reaper <- Some (Thread.create (fun () -> reaper_loop t limit) ())
-  | _ -> ());
   t
 
 let add_instance t ~name data =
@@ -264,45 +213,18 @@ let bad fmt = Format.kasprintf (fun s -> raise (Reply (Bad_request, s))) fmt
 
 let usecs s = int_of_float (s *. 1e6)
 
-(* Queue-wait EWMA drives load shedding: entered past the watermark,
-   exited (with hysteresis) below half of it. Updates race benignly —
-   a lost update skews the estimate by one sample. *)
-let note_queue_wait t w_us =
-  let w = float_of_int w_us in
-  let e = Atomic.get t.qwait_ewma_us in
-  let e' = if e <= 0.0 then w else (0.8 *. e) +. (0.2 *. w) in
-  Atomic.set t.qwait_ewma_us e';
-  match t.config.shed_queue_us with
-  | Some mark ->
-    if e' > mark then Atomic.set t.shedding true
-    else if e' < mark *. 0.5 then Atomic.set t.shedding false
-  | None -> ()
-
 let with_engine t f =
   let t0 = Unix.gettimeofday () in
   Mutex.lock t.engine;
-  let w_us = usecs (Unix.gettimeofday () -. t0) in
-  Trace.observe queue_wait_h w_us;
-  note_queue_wait t w_us;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.engine) f
-
-(* Graceful degradation: past the watermark, low-priority work (the
-   engine ops) is refused with a typed retry hint while control-plane
-   ops (health, stats, scrapes) keep answering. One probe in eight is
-   admitted so the wait estimate can decay and shedding can exit once
-   the queue drains. *)
-let shed_check t =
-  if t.config.shed_queue_us <> None && Atomic.get t.shedding then begin
-    let n = Atomic.fetch_and_add t.shed_probe 1 in
-    if n mod 8 <> 0 then begin
-      Atomic.incr t.shed_n;
-      Trace.incr shed_c;
-      raise
-        (Reply
-           ( Overloaded { retry_after_s = t.config.shed_retry_after_s },
-             "server overloaded; retry after backoff" ))
-    end
-  end
+  let t1 = Unix.gettimeofday () in
+  Trace.observe queue_wait_h (usecs (t1 -. t0));
+  Fun.protect
+    ~finally:(fun () ->
+      let held = usecs (Unix.gettimeofday () -. t1) in
+      Mutex.unlock t.engine;
+      ignore (Atomic.fetch_and_add t.engine_us held : int);
+      Atomic.incr t.engine_ops)
+    f
 
 let get_inst t name =
   match find_instance t name with
@@ -455,16 +377,32 @@ let quota_allows t client =
     in
     Quota.try_take bucket
 
-(* Admission: claim a slot with one fetch-and-add; over-claims are
-   rolled back and fast-rejected, so a full server answers cheaply
-   instead of queueing unboundedly. *)
-let with_admission t f =
+(* Admission, the server's one overload decision, taken by every
+   engine op: the client's quota first, then the in-flight bound. A
+   slot is claimed with one fetch-and-add; an over-claim is rolled back
+   and answered [Overloaded] at once instead of queueing. The count it
+   found is the queue it would have joined, so the retry hint is that
+   many mean engine services. *)
+let admit t client f =
+  if not (quota_allows t client) then begin
+    Atomic.incr t.throttled;
+    Trace.incr throttled_c;
+    raise (Reply (Throttled, "client quota exhausted"))
+  end;
   let n = Atomic.fetch_and_add t.active 1 in
   if n >= t.config.max_inflight then begin
     Atomic.decr t.active;
-    Atomic.incr t.rejected;
-    Trace.incr rejected_c;
-    raise (Reply (Rejected, "server at max in-flight requests"))
+    Atomic.incr t.shed_n;
+    Trace.incr shed_c;
+    let ops = Atomic.get t.engine_ops in
+    let mean_s =
+      if ops = 0 then 0.0
+      else float_of_int (Atomic.get t.engine_us) /. float_of_int ops /. 1e6
+    in
+    raise
+      (Reply
+         ( Overloaded { retry_after_s = float_of_int n *. mean_s },
+           "server at max in-flight requests" ))
   end;
   Fun.protect ~finally:(fun () -> Atomic.decr t.active) f
 
@@ -490,22 +428,24 @@ let span_info_of_event : Trace.event -> Wire.span_info option = function
     Some { Wire.sp_name = name; sp_cat = cat; sp_tid = tid; sp_t = t; sp_dur = dur }
   | Trace.Instant _ | Trace.Sample _ -> None
 
-(* Responses carry the write deadline: a peer that stops draining its
-   socket times the session out instead of pinning it forever. Each
-   response is encoded once; inside a [Keyed] execution that payload is
-   also what the dedup window records and replays. *)
+let write_deadline t =
+  Option.map (fun s -> Unix.gettimeofday () +. s) t.config.write_timeout_s
+
+(* One write deadline covers the whole response: it is set when the
+   first frame is written, after any engine queueing, so a peer that
+   drains a long stream too slowly is cut off even if each frame alone
+   would make it. Each response is encoded once; inside a [Keyed]
+   execution that payload is also what the dedup window records and
+   replays. *)
 let handle_request t fd client req =
   Trace.incr requests_c;
   let t0 = Unix.gettimeofday () in
   let recording = ref None in
   let oversized = ref false in
+  let deadline = ref None in
   let send payload =
-    let deadline =
-      Option.map
-        (fun s -> Unix.gettimeofday () +. s)
-        t.config.write_timeout_s
-    in
-    Wire.write_frame ?deadline fd payload
+    if Option.is_none !deadline then deadline := write_deadline t;
+    Wire.write_frame ?deadline:!deadline fd payload
   in
   let reply resp =
     let payload = Wire.response_to_string resp in
@@ -598,13 +538,7 @@ let handle_request t fd client req =
                  Dedup.abort dedup token;
                  raise e))))
        | Prepare { instance; query } ->
-         shed_check t;
-         if not (quota_allows t !client) then begin
-           Atomic.incr t.throttled;
-           Trace.incr throttled_c;
-           raise (Reply (Throttled, "client quota exhausted"))
-         end;
-         with_admission t (fun () ->
+         admit t !client (fun () ->
              let ast = parse_query query in
              let inst = get_inst t instance in
              let entry, cached =
@@ -620,26 +554,14 @@ let handle_request t fd client req =
                     atoms = Eval.atom_count entry.pe_plan;
                   }))
        | Execute { instance; plan; mode } ->
-         shed_check t;
-         if not (quota_allows t !client) then begin
-           Atomic.incr t.throttled;
-           Trace.incr throttled_c;
-           raise (Reply (Throttled, "client quota exhausted"))
-         end;
-         with_admission t (fun () ->
+         admit t !client (fun () ->
              let result, mpc_stats = execute t ~instance plan mode in
              Atomic.incr t.served;
              (* Stream outside the engine lock: the result instance is
                 immutable, so slow clients only hold their own socket. *)
              stream_result t reply result mpc_stats)
        | Ingest { instance; facts } ->
-         shed_check t;
-         if not (quota_allows t !client) then begin
-           Atomic.incr t.throttled;
-           Trace.incr throttled_c;
-           raise (Reply (Throttled, "client quota exhausted"))
-         end;
-         with_admission t (fun () ->
+         admit t !client (fun () ->
              let added = ingest t ~instance facts in
              Atomic.incr t.served;
              reply (Ingested { added }))
@@ -656,17 +578,13 @@ let handle_request t fd client req =
 (* Sessions and listeners                                              *)
 
 let session_enter t fd =
-  let last = ref (Unix.gettimeofday ()) in
-  let admitted =
-    Mutex.protect t.lock (fun () ->
-        if t.stopped then false
-        else begin
-          t.session_count <- t.session_count + 1;
-          Hashtbl.replace t.session_fds fd last;
-          t.session_count <= t.config.max_sessions
-        end)
-  in
-  (admitted, last)
+  Mutex.protect t.lock (fun () ->
+      if t.stopped then false
+      else begin
+        t.session_count <- t.session_count + 1;
+        Hashtbl.replace t.session_fds fd ();
+        t.session_count <= t.config.max_sessions
+      end)
 
 let session_leave t fd =
   Mutex.protect t.lock (fun () ->
@@ -678,18 +596,32 @@ let note_reaped t =
   Atomic.incr t.reaped_n;
   Trace.incr reaped_c
 
+(* Three deadlines, when set, bound every socket wait of a session: the
+   idle timeout the wait for a request to {e start} (a cheap select),
+   the read deadline a started frame (defeats slow-loris trickle), and
+   the write deadline a whole response. A session cut off by any of
+   them counts as reaped. *)
 let session t fd =
-  let admitted, last = session_enter t fd in
+  let admitted = session_enter t fd in
+  let hangup_with code message =
+    try
+      Wire.write_response ?deadline:(write_deadline t) fd
+        (Error { code; message })
+    with _ -> ()
+  in
   Fun.protect
     ~finally:(fun () ->
       session_leave t fd;
       try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      if not admitted then
-        try
-          Wire.write_response fd
-            (Error { code = Rejected; message = "server at max sessions" })
-        with _ -> ()
+      (* Non-blocking, so a write into a full buffer waits under the
+         write deadline instead of inside the kernel. *)
+      Unix.set_nonblock fd;
+      if not admitted then begin
+        Atomic.incr t.rejected;
+        Trace.incr rejected_c;
+        hangup_with Rejected "server at max sessions"
+      end
       else begin
         let client = ref "anon" in
         let rdeadline () =
@@ -697,26 +629,16 @@ let session t fd =
             (fun s -> Unix.gettimeofday () +. s)
             t.config.read_timeout_s
         in
-        let hangup_with code message =
-          try Wire.write_response fd (Error { code; message }) with _ -> ()
-        in
         let rec loop () =
-          (* Two timers guard the read: the idle timeout bounds the
-             wait for a request to {e start} (cheap select, no
-             deadline mid-frame), the read deadline bounds how long a
-             started frame may take to arrive (defeats slow-loris
-             trickle). *)
           match Wire.wait_readable ?timeout_s:t.config.idle_timeout_s fd with
           | false -> note_reaped t
           | true -> (
-            last := Unix.gettimeofday ();
             match
               Wire.read_request ~max_len:t.config.max_frame
                 ?deadline:(rdeadline ()) fd
             with
             | req ->
               handle_request t fd client req;
-              last := Unix.gettimeofday ();
               loop ()
             | exception Wire.Closed -> ()
             | exception Wire.Timed_out ->
@@ -816,9 +738,10 @@ let stop t =
           t.listeners <- [];
           (* Shut sessions down at the socket: their blocking reads
              return EOF and the session threads unwind; each closes its
-             own fd. Done under the lock for the same reason as the
-             reaper: an fd still in the table cannot be closed (and its
-             number reused) concurrently. *)
+             own fd. Done under the lock: a session leaves the table
+             before closing its fd, so an fd still in the table cannot
+             be closed (and its number reused by a fresh connection)
+             concurrently. *)
           Hashtbl.iter
             (fun fd _ ->
               try Unix.shutdown fd SHUTDOWN_ALL with Unix.Unix_error _ -> ())
@@ -833,9 +756,4 @@ let stop t =
       done);
   let acceptors = t.acceptors in
   t.acceptors <- [];
-  List.iter Thread.join acceptors;
-  match t.reaper with
-  | Some th ->
-    t.reaper <- None;
-    Thread.join th
-  | None -> ()
+  List.iter Thread.join acceptors

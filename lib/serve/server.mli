@@ -15,9 +15,15 @@
     built on first use, reused across requests and extended in place
     with the facts an ingest adds; a {!Cache} of compiled plans keyed by
     (instance, canonical query) shared by all sessions, whose entries
-    get a plan id only when a [Prepare] names them; admission
-    control fast-rejecting work past [max_inflight]; and per-client
-    token-bucket {!Quota}s.
+    get a plan id only when a [Prepare] names them; per-client
+    token-bucket {!Quota}s; and one overload decision, taken at
+    admission: an engine op that finds [max_inflight] requests already
+    admitted is answered [Overloaded] at once.
+
+    Three deadlines, when set, bound every socket wait of a session:
+    [idle_timeout_s] between requests, [read_timeout_s] for a started
+    request frame and [write_timeout_s] for a whole response. A session
+    cut off by one of them counts in [reaped].
 
     Responses are bit-identical to direct library calls: [Local] mode
     mirrors [Cq.Eval.eval]'s compiled-plan path, the MPC modes call the
@@ -25,10 +31,15 @@
 
 type config = {
   name : string;  (** Reported in [Hello_ok]. *)
-  max_sessions : int;  (** Connections beyond this are rejected. *)
+  max_sessions : int;
+      (** Connections beyond this get [Error Rejected] and a hangup,
+          and count in [rejected]. *)
   max_inflight : int;
-      (** Requests past admission at once; excess gets [Error
-          Rejected] immediately (fast-reject, no queueing). *)
+      (** Engine ops (prepare, execute, ingest) past admission at once.
+          One more gets [Error (Overloaded { retry_after_s })] at once,
+          without queueing, and counts in [shed]. The hint is the
+          in-flight count times the mean time the engine lock is
+          held per op. Health, stats and scrapes are never refused. *)
   plan_cache : int;  (** Plan cache capacity. *)
   batch : int;  (** Facts per [Batch] frame when streaming results. *)
   quota : (float * float) option;
@@ -49,17 +60,13 @@ type config = {
           is governed by [idle_timeout_s]. [None] waits forever.
           Default 30 s. *)
   write_timeout_s : float option;
-      (** Deadline for each response write; a peer that stops draining
-          its socket is cut loose instead of pinning the session.
-          Default 30 s. *)
+      (** Deadline for a whole response, counted from its first frame
+          (engine queueing is not counted): a peer that drains its
+          socket too slowly is cut off instead of pinning the session.
+          [None] waits forever. Default 30 s. *)
   idle_timeout_s : float option;
       (** How long a session may sit between requests before it is
-          reaped. [None] (default) keeps idle sessions forever. *)
-  reap_after_s : float option;
-      (** Stalled-connection reaper: a background thread shuts down
-          any session without I/O activity for this long, {e including}
-          one stuck mid-request — the cap must exceed the longest
-          legitimate request. [None] (default) disables the reaper. *)
+          hung up on. [None] (default) keeps idle sessions forever. *)
   dedup_window : int;
       (** Capacity of the idempotency-key window ({!Dedup}): how many
           completed keyed ops are remembered for replay. [0] disables
@@ -74,16 +81,6 @@ type config = {
           is {e not} recorded — a retry re-executes instead of
           replaying — so keyed queries with large result streams cannot
           pin up to [dedup_window] result sets in server memory. *)
-  shed_queue_us : float option;
-      (** Load-shedding watermark on the queue-wait EWMA
-          (microseconds waiting for the engine lock). Past it the
-          server answers engine ops with [Error Overloaded] — health,
-          stats and scrapes still serve — until the estimate decays
-          below half the watermark. [None] (default) disables
-          shedding. *)
-  shed_retry_after_s : float;
-      (** The [retry_after_s] hint carried by shed responses
-          (default 0.05). *)
 }
 
 val default_config : config
@@ -91,9 +88,8 @@ val default_config : config
       plan_cache = 128; batch = 512; quota = None;
       strategy = Binary; max_frame = Wire.max_frame;
       read_timeout_s = Some 30.0; write_timeout_s = Some 30.0;
-      idle_timeout_s = None; reap_after_s = None; dedup_window = 1024;
-      dedup_max_bytes = 1 lsl 20; shed_queue_us = None;
-      shed_retry_after_s = 0.05 }] *)
+      idle_timeout_s = None; dedup_window = 1024;
+      dedup_max_bytes = 1 lsl 20 }] *)
 
 type t
 

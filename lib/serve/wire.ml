@@ -405,33 +405,29 @@ let checksum s =
   done;
   !h land max_int
 
-(* Block until [fd] is ready, or the absolute [deadline] passes. *)
+(* Block until [fd] is ready, or the absolute [deadline] (if any)
+   passes. *)
 let rec wait_fd fd ~for_read ~deadline =
-  let timeout = deadline -. Unix.gettimeofday () in
-  if timeout <= 0.0 then raise Timed_out;
+  let timeout =
+    match deadline with
+    | None -> -1.0
+    | Some d ->
+      let left = d -. Unix.gettimeofday () in
+      if left <= 0.0 then raise Timed_out;
+      left
+  in
   let rs, ws = if for_read then ([ fd ], []) else ([], [ fd ]) in
   match Unix.select rs ws [] timeout with
-  | [], [], _ -> raise Timed_out
+  | [], [], _ -> wait_fd fd ~for_read ~deadline
   | _ -> ()
   | exception Unix.Unix_error (Unix.EINTR, _, _) ->
     wait_fd fd ~for_read ~deadline
 
 let wait_readable ?timeout_s fd =
-  match timeout_s with
-  | None ->
-    let rec go () =
-      match Unix.select [ fd ] [] [] (-1.0) with
-      | [], _, _ -> go ()
-      | _ -> true
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    in
-    go ()
-  | Some s -> (
-    let deadline = Unix.gettimeofday () +. s in
-    try
-      wait_fd fd ~for_read:true ~deadline;
-      true
-    with Timed_out -> false)
+  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout_s in
+  match wait_fd fd ~for_read:true ~deadline with
+  | () -> true
+  | exception Timed_out -> false
 
 (* POSIX raises SIGPIPE on a write after the peer has shut its read
    side, and the default disposition terminates the process — the
@@ -442,17 +438,22 @@ let sigpipe_ignored =
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
      with Invalid_argument _ -> ())
 
+(* On a non-blocking socket a full buffer answers [EAGAIN] and the
+   transfer waits for readiness under the same deadline, so no call
+   blocks past it. On a blocking socket the deadline bounds the wait
+   before each call. *)
 let rec write_all ?deadline fd s off len =
   Lazy.force sigpipe_ignored;
   if len > 0 then begin
-    (match deadline with
-    | Some d -> wait_fd fd ~for_read:false ~deadline:d
-    | None -> ());
+    if Option.is_some deadline then wait_fd fd ~for_read:false ~deadline;
     match Unix.write_substring fd s off len with
     | n -> write_all ?deadline fd s (off + n) (len - n)
     | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
       raise Closed
     | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+      write_all ?deadline fd s off len
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      wait_fd fd ~for_read:false ~deadline;
       write_all ?deadline fd s off len
   end
 
@@ -460,14 +461,15 @@ let read_all ?deadline fd len =
   let buf = Bytes.create len in
   let rec go off =
     if off < len then begin
-      (match deadline with
-      | Some d -> wait_fd fd ~for_read:true ~deadline:d
-      | None -> ());
+      if Option.is_some deadline then wait_fd fd ~for_read:true ~deadline;
       match Unix.read fd buf off (len - off) with
       | 0 -> raise Closed
       | n -> go (off + n)
       | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> raise Closed
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        wait_fd fd ~for_read:true ~deadline;
+        go off
     end
   in
   go 0;

@@ -87,14 +87,18 @@ type request =
 
 type error_code =
   | Bad_request  (** Unknown instance/plan id, parse error, bad frame. *)
-  | Rejected  (** Admission control: too many requests in flight. *)
+  | Rejected
+      (** The server is at [max_sessions]: the connection is refused
+          and closed. *)
   | Throttled  (** The client's token bucket is empty. *)
   | Failed  (** The engine raised; the message carries the exception. *)
   | Overloaded of { retry_after_s : float }
-      (** Load shedding: queue wait is past the server's watermark and
-          this request was low-priority work. The client should back
-          off at least [retry_after_s] seconds; resilient clients honor
-          it as a floor on their next retry delay. *)
+      (** The server's one overload signal: this engine op found
+          [max_inflight] requests already admitted and was refused
+          without queueing. [retry_after_s] is the in-flight count
+          times the mean engine service time. The client should back
+          off at least that long; resilient clients honor it as a floor
+          on their next retry delay. *)
   | Corrupt_frame
       (** The server could not decode the client's frame (checksum
           mismatch, bad length, malformed payload) and is hanging up;
@@ -109,16 +113,15 @@ type server_stats = {
   plan_cache_hits : int;
   plan_cache_misses : int;
   requests_served : int;
-  rejected : int;
-  throttled : int;
+  rejected : int;  (** Connections refused at [max_sessions]. *)
+  throttled : int;  (** Engine ops refused by the client's quota. *)
   uptime_s : float;  (** Seconds since the server was created. *)
   deduped : int;
       (** Keyed requests answered from the dedup window instead of
           re-executed. *)
-  shed : int;  (** Requests rejected with [Overloaded] while load shedding. *)
+  shed : int;  (** Engine ops refused with [Overloaded]. *)
   reaped : int;
-      (** Sessions torn down by a read/write deadline, the idle
-          timeout or the stalled-connection reaper. *)
+      (** Sessions cut off by the idle, read or write deadline. *)
 }
 
 type span_info = {
@@ -179,7 +182,11 @@ val response_of_string : ?version:int -> string -> response
     Every operation takes an optional {e absolute} [deadline] (a
     [Unix.gettimeofday] timestamp): when the socket is not ready by
     then, {!Timed_out} is raised and the frame is torn — the connection
-    must be abandoned, not reused.
+    must be abandoned, not reused. On a blocking socket the deadline
+    bounds the wait before each system call, and a write larger than
+    the free buffer space can still block inside the kernel. On a
+    non-blocking socket (the server's sessions) it bounds the whole
+    transfer.
 
     {b Global side effect — SIGPIPE.} The first framed {e write} in a
     process sets the {e process-wide} SIGPIPE disposition to

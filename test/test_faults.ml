@@ -10,6 +10,8 @@ open Lamp_relational
 open Lamp_cq
 open Lamp_mpc
 module Plan = Lamp_faults.Plan
+module Net = Lamp_faults.Net
+module Disk = Lamp_faults.Disk
 module Executor = Lamp_runtime.Executor
 module Pool = Lamp_runtime.Pool
 
@@ -103,6 +105,39 @@ let test_plan_parse () =
           try ignore (Plan.of_string bad)
           with Invalid_argument _ -> raise (Invalid_argument "")))
     [ "crash=1.5"; "drop=0.5,dup=0.4,delay=0.3"; "bogus=1"; "crash=x" ]
+
+let test_plan_roundtrip () =
+  (* pp's output, seed suffix included, parses back to the same plan,
+     so a logged plan can be passed back to --faults; a value %g would
+     round (1/3) reads back exactly. *)
+  List.iter
+    (fun p ->
+      let echo = Fmt.str "%a" Plan.pp p in
+      let p2 = Plan.of_string echo in
+      Alcotest.(check bool) (echo ^ " parses back") true
+        (Plan.spec p2 = Plan.spec p && Plan.seed p2 = Plan.seed p))
+    [
+      Plan.make ~seed:5 { Plan.zero with crash = 0.1; duplicate = 0.2 };
+      Plan.make ~seed:3
+        {
+          Plan.zero with
+          kill_after = Some 2;
+          perma = Some (1, 3);
+          reorder = true;
+        };
+      Plan.make ~seed:11
+        { Plan.chaos with speculate = 1.0 /. 3.0; kill_after = Some 0 };
+      Plan.none;
+    ];
+  let net = Net.make ~seed:2 { Net.zero with stall = 1.0 /. 3.0; window = 64 } in
+  Alcotest.(check bool) "net plan parses back exactly" true
+    (Net.spec (Net.of_string (Fmt.str "%a" Net.pp net)) = Net.spec net);
+  let disk =
+    Disk.make ~seed:4
+      { Disk.zero with rot = 1.0 /. 3.0; crash = Some (3, Disk.Torn_write 0.7) }
+  in
+  Alcotest.(check bool) "disk plan parses back exactly" true
+    (Disk.spec (Disk.of_string (Fmt.str "%a" Disk.pp disk)) = Disk.spec disk)
 
 let test_plan_transients_bounded () =
   let plan = Plan.make ~seed:11 { Plan.zero with transient = 0.9 } in
@@ -424,7 +459,6 @@ let test_gym_analytic_crash_accounting () =
 (* ------------------------------------------------------------------ *)
 (* Wire-level fault plans (Faults.Net)                                  *)
 
-module Net = Lamp_faults.Net
 
 let test_net_determinism () =
   let plan = Net.make ~seed:11 Net.chaos in
@@ -500,7 +534,6 @@ let test_net_parse () =
 (* ------------------------------------------------------------------ *)
 (* Disk fault plans (Faults.Disk)                                      *)
 
-module Disk = Lamp_faults.Disk
 
 let test_disk_determinism () =
   let plan = Disk.make ~seed:21 Disk.chaos in
@@ -624,6 +657,7 @@ let () =
           Alcotest.test_case "extreme fates" `Quick test_plan_extreme_fates;
           Alcotest.test_case "permute" `Quick test_plan_permute;
           Alcotest.test_case "of_string" `Quick test_plan_parse;
+          Alcotest.test_case "pp output parses back" `Quick test_plan_roundtrip;
           Alcotest.test_case "transients bounded by retry budget" `Quick
             test_plan_transients_bounded;
         ] );

@@ -328,11 +328,8 @@ let test_registry_all_flag () =
     (List.mem_assoc "test.zero_hist" (Trace.histograms ~all:true ()))
 
 let test_gauges () =
-  (* Settable gauges are not gated on tracing: a scrape must see
+  (* Callback gauges are not gated on tracing: a scrape must see
      current state even on a quiet server. *)
-  let g = Live.gauge "test.g" in
-  Live.set g 7;
-  Alcotest.(check int) "set/get while disabled" 7 (Live.gauge_value g);
   Live.register_callback "test.cb" (fun () -> 2.5);
   Live.register_callback "test.cb_raise" (fun () -> failwith "scrape me not");
   Fun.protect
@@ -341,9 +338,6 @@ let test_gauges () =
       Live.unregister_callback "test.cb_raise")
     (fun () ->
       let gs = Live.gauges () in
-      Alcotest.(check (option (float 0.0)))
-        "settable exposed" (Some 7.0)
-        (List.assoc_opt "test.g" gs);
       Alcotest.(check (option (float 0.0)))
         "callback evaluated at scrape" (Some 2.5)
         (List.assoc_opt "test.cb" gs);
@@ -355,80 +349,6 @@ let test_gauges () =
   Alcotest.(check bool)
     "unregistered callback gone" false
     (List.mem_assoc "test.cb" (Live.gauges ()))
-
-let test_labeled_family () =
-  Trace.set_enabled true;
-  let fam = Live.counter_family ~help:"ops by kind" "test.fam" in
-  let a = Live.cell fam [ ("op", "get") ] in
-  let b = Live.cell fam [ ("op", "put") ] in
-  Trace.incr a;
-  Trace.incr a;
-  Trace.incr b;
-  Alcotest.(check int) "cells count independently" 2 (Trace.value a);
-  Alcotest.(check int) "second cell untouched" 1 (Trace.value b);
-  (* Get-or-create: the same label values yield the same cell. *)
-  Trace.incr (Live.cell fam [ ("op", "get") ]);
-  Alcotest.(check int) "same labels, same cell" 3 (Trace.value a);
-  Alcotest.(check string)
-    "rendered name carries the labels" "test.fam{op=\"get\"}"
-    (Live.render_labels "test.fam" [ ("op", "get") ]);
-  Alcotest.(check (pair string string))
-    "split_labels inverts render" ("test.fam", "{op=\"get\"}")
-    (Live.split_labels "test.fam{op=\"get\"}");
-  Alcotest.(check (option string))
-    "family help registered on the base name" (Some "ops by kind")
-    (Live.help "test.fam")
-
-let test_snapshot_diff () =
-  Trace.set_enabled true;
-  let h = Trace.histogram "test.diff" in
-  List.iter (Trace.observe h) [ 1; 2 ];
-  let older = Trace.histogram_snapshot h in
-  Trace.observe h 8;
-  let newer = Trace.histogram_snapshot h in
-  let d = Live.snapshot_diff ~newer ~older in
-  Alcotest.(check int) "one observation in between" 1 d.Trace.count;
-  Alcotest.(check int) "its sum" 8 d.Trace.sum;
-  Alcotest.(check int)
-    "its bucket" 1
-    (List.fold_left (fun acc (_, c) -> acc + c) 0 d.Trace.buckets);
-  (* Reversed arguments model a reset in between: clamp, don't go
-     negative. *)
-  let z = Live.snapshot_diff ~newer:older ~older:newer in
-  Alcotest.(check int) "negative diffs clamp to zero" 0 z.Trace.count
-
-let test_window_arithmetic () =
-  Trace.set_enabled true;
-  let c = Trace.counter "test.win_c" in
-  let h = Trace.histogram "test.win_h" in
-  let w = Live.window ~slots:3 () in
-  ignore (Live.tick w);
-  Alcotest.(check int) "delta is 0 with one capture" 0 (Live.delta w "test.win_c");
-  Alcotest.(check (float 0.0)) "rate is 0 with one capture" 0.0
-    (Live.rate w "test.win_c");
-  Trace.add c 10;
-  Trace.observe h 4;
-  Unix.sleepf 0.002;
-  ignore (Live.tick w);
-  Alcotest.(check int) "delta across the window" 10 (Live.delta w "test.win_c");
-  Alcotest.(check bool) "span is the capture gap" true (Live.span w > 0.0);
-  Alcotest.(check (float 1e-6))
-    "rate * span = delta" 10.0
-    (Live.rate w "test.win_c" *. Live.span w);
-  Alcotest.(check (float 0.0))
-    "windowed q=1 is the window's max" 4.0
-    (Live.quantile w "test.win_h" 1.0);
-  Trace.add c 5;
-  ignore (Live.tick w);
-  Alcotest.(check int) "full ring covers oldest..newest" 15
-    (Live.delta w "test.win_c");
-  Trace.add c 1;
-  ignore (Live.tick w);
-  (* The fourth tick evicted the first capture: the window now starts
-     at the counter = 10 snapshot. *)
-  Alcotest.(check int) "eviction slides the window" 6
-    (Live.delta w "test.win_c");
-  Alcotest.(check int) "ring holds its slots" 3 (Live.length w)
 
 (* A scrape racing live observers: every mid-flight capture must be
    sane (monotone, never negative), and once the observers land the
@@ -448,13 +368,13 @@ let test_concurrent_scrape () =
   in
   let monotone = ref true and prev_c = ref 0 and prev_n = ref 0 in
   for _ = 1 to 200 do
-    let s = Live.snapshot () in
-    (match List.assoc_opt "test.live_c" s.Live.counters with
+    (* The captures a scrape makes. *)
+    (match List.assoc_opt "test.live_c" (Trace.counters ~all:true ()) with
     | Some v ->
       if v < !prev_c then monotone := false;
       prev_c := v
     | None -> ());
-    match List.assoc_opt "test.live_h" s.Live.histograms with
+    match List.assoc_opt "test.live_h" (Trace.histograms ~all:true ()) with
     | Some hs ->
       if hs.Trace.count < !prev_n || hs.Trace.sum < 0 then monotone := false;
       prev_n := hs.Trace.count
@@ -594,13 +514,15 @@ let test_skew_reports_gated () =
 
 let test_openmetrics_roundtrip () =
   Trace.set_enabled true;
-  let fam = Live.counter_family "test.om" in
-  Trace.add (Live.cell fam [ ("op", "scan") ]) 7;
+  Trace.add (Trace.counter (Live.render_labels "test.om" [ ("op", "scan") ])) 7;
   let h = Trace.histogram "test.om_hist" in
   List.iter (Trace.observe h) [ 1; 2; 3; 300 ];
-  let g = Live.gauge "test.om_gauge" in
-  Live.set g 5;
-  let text = Export.openmetrics () in
+  Live.register_callback "test.om_gauge" (fun () -> 5.0);
+  let text =
+    Fun.protect
+      ~finally:(fun () -> Live.unregister_callback "test.om_gauge")
+      Export.openmetrics
+  in
   Alcotest.(check bool)
     "exposition ends with # EOF" true
     (String.length text >= 6
@@ -720,11 +642,6 @@ let () =
           Alcotest.test_case "registry ~all flag" `Quick
             (clean test_registry_all_flag);
           Alcotest.test_case "gauges and callbacks" `Quick (clean test_gauges);
-          Alcotest.test_case "labeled families" `Quick
-            (clean test_labeled_family);
-          Alcotest.test_case "snapshot diff" `Quick (clean test_snapshot_diff);
-          Alcotest.test_case "window arithmetic" `Quick
-            (clean test_window_arithmetic);
           Alcotest.test_case "concurrent scrape" `Quick
             (clean test_concurrent_scrape);
         ] );
