@@ -696,8 +696,8 @@ let e6 () =
     (fun ((a : Cq.Ast.atom), before, after) ->
       line "    %-4s %d -> %d tuples" a.Cq.Ast.rel before after)
     (Mpc.Yannakakis.reduction_report chain dangling);
-  line "  shape: deeper trees need more rounds; flat trees parallelize the";
-  line "  semi-joins; reduction removes every dangling tuple."
+  line "  shape: deeper trees need more rounds; a flat tree runs its downward";
+  line "  semi-joins in one round; reduction removes every dangling tuple."
 
 (* ------------------------------------------------------------------ *)
 (* E7: cost of the static analyses (Theorems 4.8 / 4.14)               *)

@@ -85,16 +85,6 @@ let derive_fresh db rules =
         acc (Plan.derive plan db))
     [] rules
 
-let naive_fixpoint_db db rules =
-  let rec round i =
-    match derive_fresh db rules with
-    | [] -> ()
-    | fresh ->
-      note_iteration ~iteration:i fresh;
-      round (i + 1)
-  in
-  round 1
-
 let set_deltas db rec_rels fresh =
   let by_rel = Hashtbl.create 8 in
   List.iter
@@ -108,53 +98,41 @@ let set_deltas db rec_rels fresh =
         (Option.value ~default:[] (Hashtbl.find_opt by_rel rel)))
     rec_rels
 
-let seminaive_fixpoint_db db rules =
-  let recursive = recursive_heads rules in
-  let rule_variants = List.concat_map (variants recursive) rules in
-  let rec_rels = Sset.elements recursive in
-  let set_deltas fresh = set_deltas db rec_rels fresh in
-  let rec iterate i fresh =
-    match fresh with
-    | [] -> ()
-    | _ :: _ ->
-      note_iteration ~iteration:i fresh;
-      set_deltas fresh;
-      iterate (i + 1) (derive_fresh db rule_variants)
-  in
-  (* First iteration: full evaluation; then delta-driven rounds. *)
-  iterate 1 (derive_fresh db rules);
-  (* The reserved delta relations never leak into the result. *)
-  List.iter (fun rel -> Plan.Db.replace db ~rel:(delta_prefix ^ rel) []) rec_rels
-
 type strategy =
   | Naive
   | Seminaive
 
 let strategy_name = function Naive -> "naive" | Seminaive -> "seminaive"
 
-(* One supervised step = one fixpoint iteration of the current stratum
-   (the unit between which the engine's state is fully captured by the
-   database: the semi-naive deltas live in reserved relations inside
-   it, so a checkpoint needs nothing else beyond the two cursors). *)
-let run_supervised ~strategy ~layers ~db job =
+(* One step = one fixpoint iteration of the current stratum (the unit
+   between which the engine's state is fully captured by the database:
+   the semi-naive deltas live in reserved relations inside it, so a
+   checkpoint needs nothing else beyond the two cursors). Each stratum
+   is one [datalog.stratum] span, from its first step to the step that
+   finds it converged. *)
+let script ~strategy ~layers ~db =
   let module Codec = Lamp_jobs.Codec in
-  let module Supervisor = Lamp_jobs.Supervisor in
   let layers = Array.of_list layers in
+  let rec_rels = Array.map (fun rules -> Sset.elements (recursive_heads rules)) layers in
+  let deltas =
+    Array.map
+      (fun rules -> List.concat_map (variants (recursive_heads rules)) rules)
+      layers
+  in
   let stratum = ref 0 in
   let iter = ref 0 in
+  let t0 = ref (Trace.now ()) in
   let step _k =
     if !stratum >= Array.length layers then `Done
     else begin
-      let rules = layers.(!stratum) in
-      let recursive = recursive_heads rules in
-      let rec_rels = Sset.elements recursive in
+      let s = !stratum in
+      if !iter = 0 then t0 := Trace.now ();
       let fresh =
         match strategy with
-        | Naive -> derive_fresh !db rules
+        | Naive -> derive_fresh !db layers.(s)
         | Seminaive ->
           (* First iteration: full evaluation; then delta-driven. *)
-          if !iter = 0 then derive_fresh !db rules
-          else derive_fresh !db (List.concat_map (variants recursive) rules)
+          derive_fresh !db (if !iter = 0 then layers.(s) else deltas.(s))
       in
       match fresh with
       | [] ->
@@ -163,57 +141,51 @@ let run_supervised ~strategy ~layers ~db job =
         if strategy = Seminaive then
           List.iter
             (fun rel -> Plan.Db.replace !db ~rel:(delta_prefix ^ rel) [])
-            rec_rels;
-        stratum := !stratum + 1;
+            rec_rels.(s);
+        Trace.emit_span ~cat:"datalog"
+          ~args:
+            [ ("stratum", Trace.Int s); ("rules", Trace.Int (List.length layers.(s))) ]
+          ~name:"datalog.stratum" ~t0:!t0 ~dur:(Trace.now () -. !t0) ();
+        stratum := s + 1;
         iter := 0;
         if !stratum >= Array.length layers then `Done else `Continue
       | _ :: _ ->
         note_iteration ~iteration:(!iter + 1) fresh;
-        if strategy = Seminaive then set_deltas !db rec_rels fresh;
+        if strategy = Seminaive then set_deltas !db rec_rels.(s) fresh;
         iter := !iter + 1;
         `Continue
     end
   in
-  job.Supervisor.fingerprint <-
-    Fmt.str "datalog-%s/%d-strata" (strategy_name strategy)
-      (Array.length layers);
-  Supervisor.run job
-    (Supervisor.inline_script ~step
-       ~snapshot:(fun () ->
-         let w = Codec.writer () in
-         Codec.w_int w !stratum;
-         Codec.w_int w !iter;
-         Codec.w_instance w (Plan.Db.to_instance ~keep:(fun _ -> true) !db);
-         Codec.contents w)
-       ~restore:(fun ~round:_ payload ->
-         let r = Codec.reader payload in
-         stratum := Codec.r_int r;
-         iter := Codec.r_int r;
-         db := Plan.Db.of_instance (Codec.r_instance r);
-         Codec.r_end r))
+  Lamp_jobs.Supervisor.inline_script ~step
+    ~snapshot:(fun () ->
+      let w = Codec.writer () in
+      Codec.w_int w !stratum;
+      Codec.w_int w !iter;
+      Codec.w_instance w (Plan.Db.to_instance ~keep:(fun _ -> true) !db);
+      Codec.contents w)
+    ~restore:(fun ~round:_ payload ->
+      let r = Codec.reader payload in
+      stratum := Codec.r_int r;
+      iter := Codec.r_int r;
+      db := Plan.Db.of_instance (Codec.r_instance r);
+      Codec.r_end r;
+      t0 := Trace.now ())
 
 let run ?(strategy = Seminaive) ?job program instance =
+  let module Supervisor = Lamp_jobs.Supervisor in
   let db0 =
     if Program.uses_adom program then materialize_adom instance else instance
   in
   let layers = Stratify.layers program in
   let db = ref (Plan.Db.of_instance db0) in
+  let script = script ~strategy ~layers ~db in
   (match job with
-  | Some job -> run_supervised ~strategy ~layers ~db job
-  | None ->
-    let fixpoint =
-      match strategy with
-      | Naive -> naive_fixpoint_db
-      | Seminaive -> seminaive_fixpoint_db
-    in
-    List.iteri
-      (fun i rules ->
-        Trace.span ~cat:"datalog"
-          ~args:
-            [ ("stratum", Trace.Int i); ("rules", Trace.Int (List.length rules)) ]
-          "datalog.stratum"
-          (fun () -> fixpoint !db rules))
-      layers);
+  | None -> Supervisor.run_inline script
+  | Some job ->
+    job.Supervisor.fingerprint <-
+      Fmt.str "datalog-%s/%d-strata" (strategy_name strategy)
+        (List.length layers);
+    Supervisor.run job script);
   Plan.Db.to_instance
     ~keep:(fun rel -> not (String.starts_with ~prefix:delta_prefix rel))
     !db

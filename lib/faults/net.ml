@@ -225,8 +225,9 @@ let pp ppf = function
 (* ------------------------------------------------------------------ *)
 (* The chaos proxy: a real listening socket that relays every accepted
    connection to an upstream server through the plan's stream faults.
-   One acceptor thread plus two pump threads per live connection, the
-   same select-poll shutdown idiom as Serve.Server. *)
+   One acceptor thread plus two pump threads per live connection. The
+   acceptor blocks in accept(2), woken by the listener's SO_RCVTIMEO or
+   by [stop] shutting the listener down, as in Serve.Server. *)
 
 module Proxy = struct
   type proxy = {
@@ -338,6 +339,11 @@ module Proxy = struct
         forward 0 n;
         copy ()
       | exception Unix.Unix_error (EINTR, _, _) -> copy ()
+      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+        (* A receive timeout inherited from the listener: relays wait
+           for as long as their peers do. *)
+        Unix.setsockopt_float src Unix.SO_RCVTIMEO 0.0;
+        copy ()
       | exception Unix.Unix_error (_, _, _) ->
         (try Unix.shutdown dst Unix.SHUTDOWN_SEND with _ -> ())
     in
@@ -382,28 +388,21 @@ module Proxy = struct
 
   let acceptor t =
     let rec loop () =
-      if not t.stopped then begin
-        match Unix.select [ t.listen_fd ] [] [] 0.2 with
-        | [], _, _ -> loop ()
-        | _ -> (
-          match Unix.accept ~cloexec:true t.listen_fd with
-          | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-          | exception Unix.Unix_error (_, _, _) -> if not t.stopped then loop ()
-          | fd, _ ->
-            let conn =
-              Mutex.protect t.lock (fun () ->
-                  let n = t.conns in
-                  t.conns <- n + 1;
-                  n)
-            in
-            track t fd;
-            let fl = connection t.plan ~conn in
-            let th = Thread.create (fun () -> relay t fd fl) () in
-            Mutex.protect t.lock (fun () -> t.relays <- th :: t.relays);
-            loop ())
-        | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-        | exception Unix.Unix_error (EBADF, _, _) -> ()
-      end
+      if not (Mutex.protect t.lock (fun () -> t.stopped)) then
+        match Unix.accept ~cloexec:true t.listen_fd with
+        | exception Unix.Unix_error (_, _, _) -> loop ()
+        | fd, _ ->
+          let conn =
+            Mutex.protect t.lock (fun () ->
+                let n = t.conns in
+                t.conns <- n + 1;
+                n)
+          in
+          track t fd;
+          let fl = connection t.plan ~conn in
+          let th = Thread.create (fun () -> relay t fd fl) () in
+          Mutex.protect t.lock (fun () -> t.relays <- th :: t.relays);
+          loop ()
     in
     loop ()
 
@@ -420,7 +419,8 @@ module Proxy = struct
     | _ -> ());
     (try
        Unix.bind fd listen;
-       Unix.listen fd backlog
+       Unix.listen fd backlog;
+       Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.2
      with e ->
        (try Unix.close fd with _ -> ());
        raise e);
@@ -456,6 +456,7 @@ module Proxy = struct
         s)
     in
     if not already then begin
+      (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with _ -> ());
       (match t.acceptor with Some th -> Thread.join th | None -> ());
       let fds =
         Mutex.protect t.lock (fun () ->

@@ -45,11 +45,9 @@ let create_with ?(executor = Executor.sequential) ?(faults = Plan.none) locals =
    the model's "1/p-th of the data" assumption. *)
 let create ?executor ?faults ~p instance =
   check_p p;
-  let locals = Array.make p Instance.empty in
-  List.iteri
-    (fun k f -> locals.(k mod p) <- Instance.add f locals.(k mod p))
-    (Instance.facts instance);
-  create_with ?executor ?faults locals
+  let dealt = Array.make p [] in
+  List.iteri (fun k f -> dealt.(k mod p) <- f :: dealt.(k mod p)) (Instance.facts instance);
+  create_with ?executor ?faults (Array.map Instance.of_facts dealt)
 
 let p t = t.p
 let executor t = t.executor

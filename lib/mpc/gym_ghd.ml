@@ -1,15 +1,18 @@
 open Lamp_relational
+open Lamp_distribution
 open Lamp_cq
 module Sset = Decomposition.Sset
-module Codec = Lamp_jobs.Codec
 
-(* GYM over a tree decomposition (Section 3.2 / [6]): phase 1 evaluates
-   every bag's join with one round of HyperCube on its own slice of the
-   cluster; phase 2 runs the distributed Yannakakis passes over the bag
-   results, whose tree is acyclic by the running-intersection
-   property. *)
+(* GYM over a tree decomposition (Section 3.2 / [6]): round 1 evaluates
+   every bag's join by HyperCube on its own slice of the cluster; the
+   rounds after it are GYM's over the bag results, whose tree is acyclic
+   by the running-intersection property. *)
 
 let bag_rel i = Fmt.str "\006bag%d" i
+
+(* Bag [i]'s copy of an input relation: what its HyperCube sends stays
+   apart from another bag's on a server both slices cover. *)
+let input_rel i rel = Fmt.str "\006in%d:%s" i rel
 
 let bag_pseudo_atom i (b : Decomposition.bag) =
   Ast.atom (bag_rel i) (List.map (fun v -> Ast.Var v) (Sset.elements b.vars))
@@ -17,17 +20,71 @@ let bag_pseudo_atom i (b : Decomposition.bag) =
 let bag_query i (b : Decomposition.bag) =
   Ast.make ~head:(bag_pseudo_atom i b) ~body:b.Decomposition.atoms ()
 
-let zero_round = { Stats.max_received = 0; total_received = 0 }
+type cube = {
+  offset : int;  (* the slice's first server *)
+  size : int;  (* its grid's cells *)
+  policy : Policy.t;
+  renames : (string * string) list;  (* input relation -> bag's copy *)
+  query : Ast.t;  (* the bag's join over its copies *)
+}
 
-let zero_recovery =
+(* Round 1: bag [i] takes servers [i * p_bag ...] for its HyperCube grid,
+   p_bag = p / #bags. When bags outnumber servers, the slices wrap and
+   their loads add. *)
+let hypercube_round ~seed ~p instance bags =
+  let p_bag = max 1 (p / Array.length bags) in
+  let cube i (b : Decomposition.bag) =
+    let bq = bag_query i b in
+    let shares, _ =
+      Shares.optimize ~objective:Shares.Max_load ~p:p_bag
+        ~sizes:(fun (a : Ast.atom) ->
+          Tuple.Set.cardinal (Instance.tuples instance a.Ast.rel))
+        bq
+    in
+    let policy, grid = Policy.hypercube ~seed ~name:"hypercube" ~query:bq ~shares () in
+    let renames =
+      List.sort_uniq compare
+        (List.map (fun (a : Ast.atom) -> (a.Ast.rel, input_rel i a.Ast.rel)) b.atoms)
+    in
+    {
+      offset = i * p_bag mod p;
+      size = Grid.size grid;
+      policy;
+      renames;
+      query =
+        Ast.make ~head:(Ast.head bq)
+          ~body:
+            (List.map
+               (fun (a : Ast.atom) -> { a with Ast.rel = List.assoc a.Ast.rel renames })
+               b.atoms)
+          ();
+    }
+  in
+  let cubes = Array.mapi cube bags in
+  let on_slice c s = (s - c.offset + p) mod p < c.size in
   {
-    Stats.round = 1;
-    crashed = 0;
-    replayed = 0;
-    retransmitted = 0;
-    duplicates = 0;
-    retries = 0;
-    speculated = 0;
+    Cluster.communicate =
+      (fun _ local ->
+        Instance.fold
+          (fun f acc ->
+            Array.fold_left
+              (fun acc c ->
+                match Policy.responsible_nodes c.policy f with
+                | [] -> acc
+                | cells ->
+                  let copy = Fact.make (List.assoc (Fact.rel f) c.renames) (Fact.args f) in
+                  List.fold_left
+                    (fun acc cell -> ((c.offset + cell) mod p, copy) :: acc)
+                    acc cells)
+              acc cubes)
+          local []);
+    compute =
+      (fun s ~received ~previous:_ ->
+        Array.fold_left
+          (fun acc c ->
+            if on_slice c s then Instance.union acc (Eval.eval c.query received)
+            else acc)
+          Instance.empty cubes);
   }
 
 let run ?(seed = 0) ?decomposition ?executor ?(faults = Lamp_faults.Plan.none)
@@ -45,201 +102,44 @@ let run ?(seed = 0) ?decomposition ?executor ?(faults = Lamp_faults.Plan.none)
   (match Decomposition.validate q decomposition with
   | Ok () -> ()
   | Error msg -> invalid_arg (Fmt.str "Gym_ghd.run: invalid decomposition: %s" msg));
-  (* Number the bags and remember the tree shape. *)
-  let module Numbered = struct
-    type t = {
-      id : int;
-      bag : Decomposition.bag;
-      kids : t list;
-    }
-  end in
-  let counter = ref 0 in
-  let rec number (t : Decomposition.t) =
-    let id = !counter in
-    incr counter;
-    let kids = List.map number t.Decomposition.children in
-    { Numbered.id; bag = t.Decomposition.bag; kids }
-  in
-  let numbered = List.map number decomposition in
-  let nbags = !counter in
-  let rec pseudo_tree { Numbered.id = i; bag; kids } =
+  Lamp_obs.Sketch.set_context "gym_ghd";
+  (* Bags numbered in pre-order; GYM's tree has one pseudo-atom each. *)
+  let bags = ref [] in
+  let rec pseudo_tree (t : Decomposition.t) =
+    let i = List.length !bags in
+    bags := t.Decomposition.bag :: !bags;
     {
-      Hypergraph.atom = bag_pseudo_atom i bag;
-      vars = bag.Decomposition.vars;
-      children = List.map pseudo_tree kids;
+      Hypergraph.atom = bag_pseudo_atom i t.Decomposition.bag;
+      vars = t.Decomposition.bag.vars;
+      children = List.map pseudo_tree t.Decomposition.children;
     }
   in
-  let forest = List.map pseudo_tree numbered in
-  let body = List.map (fun t -> t.Hypergraph.atom) (
-    let rec flatten t = t :: List.concat_map flatten t.Hypergraph.children in
-    List.concat_map flatten forest)
-  in
-  let q2 = Ast.make ~head:(Ast.head q) ~body () in
-  (* Mutable job state: the server count (drops on a restart after a
-     permanent crash), phase-1 results and accounting, the phase-2
-     step-indexed GYM (built lazily once the bag results exist), and
-     the restart records already charged. *)
-  let p0 = p in
-  let initial_max = (Instance.cardinal instance + p0 - 1) / p0 in
-  let p = ref p in
-  let phase1_done = ref false in
-  let bag_results = ref (Array.make nbags Instance.empty) in
-  let phase1 = ref zero_round in
-  (* Bag runs all belong to phase 1 — their recovery work is merged
-     into a single round-1 record. *)
-  let phase1_recovery = ref zero_recovery in
-  let restarts = ref [] in
-  let gym = ref None in
-  let get_gym () =
-    match !gym with
-    | Some g -> g
+  let forest = List.map pseudo_tree decomposition in
+  let bags = Array.of_list (List.rev !bags) in
+  let gym = Yannakakis.plan ~seed forest in
+  (* The slices and shares depend on p, so the rounds are planned per
+     topology (memoized: a restart replans for the survivors). *)
+  let plans = Hashtbl.create 2 in
+  let rounds_for ~p =
+    match Hashtbl.find_opt plans p with
+    | Some rounds -> rounds
     | None ->
-      let bag_instance =
-        Array.fold_left Instance.union Instance.empty !bag_results
+      let rounds =
+        Array.append
+          [| hypercube_round ~seed ~p instance bags |]
+          (Yannakakis.rounds gym ~p)
       in
-      let g =
-        Yannakakis.gym_job ~seed ~forest ?executor ~faults ~p:!p q2
-          bag_instance
-      in
-      gym := Some g;
-      g
+      Hashtbl.add plans p rounds;
+      rounds
   in
-  (* Phase 1: per-bag HyperCube joins on disjoint server groups. *)
-  let run_phase1 () =
-    let p_bag = max 1 (!p / nbags) in
-    let rec eval_bags { Numbered.id = i; bag; kids } =
-      let bq = bag_query i bag in
-      let shares, _ =
-        Shares.optimize ~objective:Shares.Max_load ~p:p_bag
-          ~sizes:(fun (a : Ast.atom) ->
-            Tuple.Set.cardinal (Instance.tuples instance a.Ast.rel))
-          bq
-      in
-      let result, stats =
-        Hypercube.run_with_shares ~seed ?executor ~faults ~shares bq instance
-      in
-      !bag_results.(i) <- result;
-      (match stats.Stats.rounds with
-      | [ r ] ->
-        phase1 :=
-          {
-            Stats.max_received = max !phase1.Stats.max_received r.Stats.max_received;
-            total_received = !phase1.Stats.total_received + r.Stats.total_received;
-          }
-      | _ -> assert false);
-      List.iter
-        (fun (r : Stats.recovery) ->
-          let acc = !phase1_recovery in
-          phase1_recovery :=
-            {
-              acc with
-              Stats.crashed = acc.Stats.crashed + r.Stats.crashed;
-              replayed = acc.replayed + r.replayed;
-              retransmitted = acc.retransmitted + r.retransmitted;
-              duplicates = acc.duplicates + r.duplicates;
-              retries = acc.retries + r.retries;
-              speculated = acc.speculated + r.speculated;
-            })
-        stats.Stats.recoveries;
-      List.iter eval_bags kids
-    in
-    List.iter eval_bags numbered;
-    phase1_done := true
-  in
+  let cluster = ref (Cluster.create ?executor ~faults ~p instance) in
   Cluster.supervise ?job ~name:"gym_ghd" ~faults
-    {
-      Lamp_jobs.Supervisor.step =
-        (fun k ->
-          (* Round 1 is the whole of phase 1; rounds 2.. are GYM's
-             semi-join and join rounds over the bag results. *)
-          if k = 0 then begin
-            run_phase1 ();
-            `Continue
-          end
-          else begin
-            let g = get_gym () in
-            if k - 1 >= g.Yannakakis.nops then `Done
-            else begin
-              g.Yannakakis.exec (k - 1);
-              if k - 1 = g.Yannakakis.nops - 1 then `Done else `Continue
-            end
-          end);
-      snapshot =
-        (fun () ->
-          let w = Codec.writer () in
-          Codec.w_int w !p;
-          Codec.w_bool w !phase1_done;
-          Codec.w_list w Stats.w_recovery !restarts;
-          if !phase1_done then begin
-            Codec.w_array w Codec.w_instance !bag_results;
-            Stats.w_round_stats w !phase1;
-            Stats.w_recovery w !phase1_recovery;
-            (get_gym ()).Yannakakis.write w
-          end;
-          Codec.contents w);
-      restore =
-        (fun ~round:_ payload ->
-          let r = Codec.reader payload in
-          p := Codec.r_int r;
-          phase1_done := Codec.r_bool r;
-          restarts := Codec.r_list r Stats.r_recovery;
-          if !phase1_done then begin
-            bag_results := Codec.r_array r Codec.r_instance;
-            phase1 := Stats.r_round_stats r;
-            phase1_recovery := Stats.r_recovery r;
-            gym := None;
-            (get_gym ()).Yannakakis.read r
-          end;
-          Codec.r_end r);
-      rebalance =
-        (fun ~round ~dead ->
-          (* Phase 1 carves the cluster into per-bag groups sized by p
-             and phase 2 hashes bag results over all p servers — both
-             placements are functions of p, so losing a server means
-             replanning from scratch on the p−1 survivors. *)
-          if dead < 0 || dead >= !p || !p <= 1 then `Continue
-          else begin
-            let replayed = (Instance.cardinal instance + !p - 1) / !p in
-            restarts :=
-              { zero_recovery with Stats.round; crashed = 1; replayed }
-              :: !restarts;
-            p := !p - 1;
-            phase1_done := false;
-            bag_results := Array.make nbags Instance.empty;
-            phase1 := zero_round;
-            phase1_recovery := zero_recovery;
-            gym := None;
-            `Restart
-          end);
-    };
-  let result, stats2 = (get_gym ()).Yannakakis.finish () in
-  let recoveries =
-    let r1 = !phase1_recovery in
-    let phase1_recoveries =
-      if
-        r1.Stats.crashed > 0 || r1.Stats.replayed > 0
-        || r1.Stats.retransmitted > 0 || r1.Stats.duplicates > 0
-        || r1.Stats.retries > 0 || r1.Stats.speculated > 0
-      then [ r1 ]
-      else []
-    in
-    (* Phase-2 rounds follow the single phase-1 round; job restarts
-       interleave by the round their crash was detected before, ahead
-       of same-round repair work. *)
-    List.stable_sort
-      (fun (a : Stats.recovery) b -> compare a.Stats.round b.Stats.round)
-      (List.rev !restarts
-      @ phase1_recoveries
-      @ List.map
-          (fun (r : Stats.recovery) -> { r with Stats.round = r.Stats.round + 1 })
-          stats2.Stats.recoveries)
-  in
-  let stats =
-    {
-      Stats.p = !p;
-      initial_max;
-      rounds = !phase1 :: stats2.Stats.rounds;
-      recoveries;
-    }
-  in
-  (result, stats, Decomposition.width decomposition)
+    (Multi_round.cluster_script ?executor ~faults cluster ~rounds_for
+       ~rebalance:(fun ~round ~dead ->
+         (* Both the slices and GYM's hashing are functions of p: losing
+            a server restarts the job on the survivors. *)
+         Multi_round.rebalance_restart ?executor ~faults instance cluster
+           ~round ~dead));
+  ( Yannakakis.output gym (Ast.head q) !cluster,
+    Cluster.stats !cluster,
+    Decomposition.width decomposition )

@@ -1,13 +1,17 @@
 (** GYM on possibly cyclic queries via tree decompositions
     (Section 3.2 / [6]).
 
-    Phase 1 evaluates each bag of the decomposition — a join of the
-    atoms grouped there — with one round of HyperCube on a dedicated
-    slice of the cluster; phase 2 runs the distributed Yannakakis
-    semi-join and join passes over the bag results, which form an
-    acyclic query by the running-intersection property. The depth of the
-    decomposition governs the number of rounds; the bag width governs
-    the phase-1 cost — the trade-off the paper highlights. *)
+    Round 1 evaluates each bag of the decomposition — a join of the
+    atoms grouped there — by HyperCube on its own slice of the cluster:
+    with b bags, bag i's grid takes the servers from i·max(1, ⌊p/b⌋)
+    on, modulo p. When bags outnumber servers, the slices wrap and
+    their loads add. The rounds
+    after it are {!Yannakakis.gym}'s semi-join and join rounds over the
+    bag results, which form an acyclic query by the running-intersection
+    property. All of them are {!Cluster} rounds on one cluster. The
+    depth of the decomposition governs the number of rounds; the bag
+    width governs the round-1 cost — the trade-off the paper
+    highlights. *)
 
 open Lamp_relational
 
@@ -25,12 +29,11 @@ val run :
     queries use their GYO forest (one atom per bag) and cyclic queries
     the min-fill heuristic.
 
-    With [job], the run is a supervised job whose round 1 is the whole
-    of phase 1 and whose rounds 2.. are the phase-2 GYM steps
-    (composed via {!Yannakakis.gym_job}); checkpoints carry the bag
-    results, so a kill between the phases resumes without re-running
-    any HyperCube join. Both phases place data by functions of p, so a
-    permanent crash-stop restarts the job from round 0 on the p−1
-    survivors.
+    With [job], each round is one supervised, checkpointed step, so a
+    kill after round 1 resumes with the bag results on their servers,
+    without re-running any HyperCube join. The slices and GYM's hashing
+    are functions of p, so a permanent crash-stop restarts the job from
+    round 0 on the p−1 survivors
+    ({!Multi_round.rebalance_restart}).
     @raise Invalid_argument on non-positive queries or an invalid
     decomposition. *)

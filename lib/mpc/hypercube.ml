@@ -3,21 +3,6 @@ open Lamp_distribution
 open Lamp_cq
 module Codec = Lamp_jobs.Codec
 
-let run_with_shares ?(seed = 0) ?(materialize = true) ?strategy ?executor
-    ?faults ~shares query instance =
-  Lamp_obs.Sketch.set_context "hypercube";
-  let policy, grid = Policy.hypercube ~seed ~name:"hypercube" ~query ~shares () in
-  let cluster = Cluster.create ?executor ?faults ~p:(Grid.size grid) instance in
-  Cluster.run_round cluster
-    {
-      Cluster.communicate =
-        Cluster.route_by (fun f -> Policy.responsible_nodes policy f);
-      compute =
-        (if materialize then Cluster.eval_query ?strategy query
-         else fun _ ~received:_ ~previous:_ -> Instance.empty);
-    };
-  (Cluster.union_all cluster, Cluster.stats cluster)
-
 let sizes_of_instance instance (a : Ast.atom) =
   Tuple.Set.cardinal (Instance.tuples instance a.Ast.rel)
 

@@ -9,22 +9,6 @@
 
 open Lamp_relational
 
-val run_with_shares :
-  ?seed:int ->
-  ?materialize:bool ->
-  ?strategy:Lamp_cq.Eval.strategy ->
-  ?executor:Lamp_runtime.Executor.t ->
-  ?faults:Lamp_faults.Plan.t ->
-  shares:(string * int) list ->
-  Lamp_cq.Ast.t ->
-  Instance.t ->
-  Instance.t * Stats.t
-(** One-round HyperCube with explicit shares. The number of servers is
-    the product of the shares. [materialize:false] skips the local
-    evaluation (the result is empty): load experiments on skewed inputs
-    use it to avoid materializing quadratic outputs, since the load is
-    determined entirely by the communication phase. *)
-
 val run :
   ?seed:int ->
   ?materialize:bool ->
@@ -37,9 +21,13 @@ val run :
   Lamp_cq.Ast.t ->
   Instance.t ->
   Instance.t * Stats.t * (string * int) list
-(** As {!run_with_shares}, choosing load-optimal integer shares for [p]
-    servers when none are given (via {!Shares.optimize} with the actual
-    relation sizes). Returns the shares used.
+(** One-round HyperCube on the grid of [shares] — load-optimal integer
+    shares for [p] servers when none are given (via {!Shares.optimize}
+    with the actual relation sizes); the number of servers is the
+    product of the shares. Returns the shares used. [materialize:false]
+    skips the local evaluation (the result is empty): load experiments
+    on skewed inputs use it to avoid materializing quadratic outputs,
+    since the load is determined entirely by the communication phase.
 
     With [job], the single round runs as a supervised job (checkpoint
     before and after; [kill=0] dies holding only the initial state). A

@@ -93,10 +93,10 @@ val pp_rounds : t Fmt.t
 
 (** {1 Checkpoint codecs}
 
-    Binary serialization of the statistics records, used by every
-    job-level snapshot ([Cluster.snapshot], the GYM tree state, the
-    Datalog fixpoint) so a resumed run stitches its statistics onto
-    the checkpointed prefix. *)
+    Binary serialization of the statistics records, used by
+    [Cluster.snapshot] (the checkpoint of every MPC job) so a resumed
+    run stitches its statistics onto the checkpointed prefix, and by
+    the wire protocol's MPC replies. *)
 
 val w_round_stats : Lamp_jobs.Codec.w -> round_stats -> unit
 val r_round_stats : Lamp_jobs.Codec.r -> round_stats

@@ -11,15 +11,22 @@ module Rel = struct
 
   let cardinal r = Tuple.Set.cardinal r.rows
 
-  let positions r cols =
+  let col_positions cols wanted =
     List.map
       (fun c ->
-        match List.find_index (String.equal c) r.cols with
+        match List.find_index (String.equal c) cols with
         | Some i -> i
         | None -> invalid_arg (Fmt.str "Yannakakis: unknown column %s" c))
-      cols
+      wanted
 
+  let positions r cols = col_positions r.cols cols
   let key_of_row positions row = List.map (fun i -> row.(i)) positions
+
+  let project_rows positions rows =
+    Tuple.Set.of_list
+      (Tuple.Set.fold
+         (fun row acc -> Array.of_list (key_of_row positions row) :: acc)
+         rows [])
 
   let semijoin r1 r2 =
     let shared = List.filter (fun c -> List.mem c r2.cols) r1.cols in
@@ -45,12 +52,14 @@ module Rel = struct
     let pos1 = positions r1 shared
     and pos2 = positions r2 shared
     and pos_extra = positions r2 extra in
+    (* Each r2 row indexed by its key, carrying the columns it adds. *)
     let index = Hashtbl.create 64 in
     Tuple.Set.iter
       (fun row ->
         let key = key_of_row pos2 row in
         let prev = Option.value ~default:[] (Hashtbl.find_opt index key) in
-        Hashtbl.replace index key (row :: prev))
+        Hashtbl.replace index key
+          (Array.of_list (key_of_row pos_extra row) :: prev))
       r2.rows;
     let rows =
       Tuple.Set.fold
@@ -59,57 +68,60 @@ module Rel = struct
           | None -> acc
           | Some matches ->
             List.fold_left
-              (fun acc row2 ->
-                let combined =
-                  Array.append row1
-                    (Array.of_list (key_of_row pos_extra row2))
-                in
-                Tuple.Set.add combined acc)
+              (fun acc added -> Array.append row1 added :: acc)
               acc matches)
-        r1.rows Tuple.Set.empty
+        r1.rows []
     in
-    { cols = r1.cols @ extra; rows }
+    { cols = r1.cols @ extra; rows = Tuple.Set.of_list rows }
 end
 
 (* The relation of a body atom: tuples of the atom's relation that match
    its constants and repeated variables, projected onto its distinct
    variables (in first-occurrence order). *)
+let atom_cols (a : Ast.atom) =
+  List.fold_left
+    (fun acc t ->
+      match t with
+      | Ast.Var v when not (List.mem v acc) -> v :: acc
+      | _ -> acc)
+    [] a.Ast.terms
+  |> List.rev
+
 let atom_relation instance (a : Ast.atom) =
-  let cols =
-    List.fold_left
-      (fun acc t ->
-        match t with
-        | Ast.Var v when not (List.mem v acc) -> v :: acc
-        | _ -> acc)
-      [] a.Ast.terms
-    |> List.rev
-  in
-  let rows =
-    Tuple.Set.fold
-      (fun tup acc ->
-        if Tuple.arity tup <> List.length a.Ast.terms then acc
-        else begin
-          let binding = Hashtbl.create 4 in
-          let ok = ref true in
-          List.iteri
-            (fun i t ->
-              match t with
-              | Ast.Const c -> if not (Value.equal c tup.(i)) then ok := false
-              | Ast.Var v -> (
-                match Hashtbl.find_opt binding v with
-                | Some prev -> if not (Value.equal prev tup.(i)) then ok := false
-                | None -> Hashtbl.add binding v tup.(i)))
-            a.Ast.terms;
-          if !ok then
-            Tuple.Set.add
-              (Array.of_list (List.map (Hashtbl.find binding) cols))
-              acc
-          else acc
-        end)
+  let cols = atom_cols a in
+  let arity = List.length a.Ast.terms in
+  let tuples =
+    Tuple.Set.filter
+      (fun tup -> Tuple.arity tup = arity)
       (Instance.tuples instance a.Ast.rel)
-      Tuple.Set.empty
   in
-  { Rel.cols; rows }
+  if List.length cols = arity then { Rel.cols; rows = tuples }
+  else begin
+    (* Every term checked against its constant, or against the first
+       occurrence of its variable. *)
+    let first v =
+      Option.get
+        (List.find_index
+           (function Ast.Var w -> String.equal v w | Ast.Const _ -> false)
+           a.Ast.terms)
+    in
+    let checks =
+      List.mapi
+        (fun i t ->
+          match t with
+          | Ast.Const c -> fun tup -> Value.equal c tup.(i)
+          | Ast.Var v ->
+            let j = first v in
+            fun tup -> Value.equal tup.(j) tup.(i))
+        a.Ast.terms
+    in
+    {
+      Rel.cols;
+      rows =
+        Rel.project_rows (List.map first cols)
+          (Tuple.Set.filter (fun tup -> List.for_all (fun ok -> ok tup) checks) tuples);
+    }
+  end
 
 type reduced_tree = {
   atom : Ast.atom;
@@ -148,6 +160,25 @@ let rec join_up node =
     (fun acc child -> Rel.join acc (join_up child))
     node.rel node.children
 
+(* The head's facts over rows whose columns hold every head variable. *)
+let head_facts (head : Ast.atom) cols rows =
+  let value_of = function
+    | Ast.Const c -> fun _ -> c
+    | Ast.Var v -> (
+      match List.find_index (String.equal v) cols with
+      | Some i -> fun row -> row.(i)
+      | None -> assert false)
+  in
+  let args = Array.of_list (List.map value_of head.Ast.terms) in
+  Instance.of_tuple_set head.Ast.rel
+    (Tuple.Set.of_list
+       (List.fold_left
+          (fun acc rows ->
+            Tuple.Set.fold
+              (fun row acc -> Array.map (fun f -> f row) args :: acc)
+              rows acc)
+          [] rows))
+
 exception Cyclic
 
 let eval_acyclic q instance =
@@ -166,23 +197,7 @@ let eval_acyclic q instance =
           (fun acc tree -> Rel.join acc (join_up tree))
           (join_up first) rest
     in
-    let head = Ast.head q in
-    let make_fact row =
-      let value_of = function
-        | Ast.Const c -> c
-        | Ast.Var v ->
-          let i =
-            match List.find_index (String.equal v) joined.Rel.cols with
-            | Some i -> i
-            | None -> assert false
-          in
-          row.(i)
-      in
-      Fact.of_list head.Ast.rel (List.map value_of head.Ast.terms)
-    in
-    Tuple.Set.fold
-      (fun row acc -> Instance.add (make_fact row) acc)
-      joined.Rel.rows Instance.empty
+    head_facts (Ast.head q) joined.Rel.cols [ joined.Rel.rows ]
 
 (* Sizes before/after full reduction, per atom — the quantity behind
    Yannakakis' guarantee that intermediate results stay bounded. *)
@@ -211,395 +226,244 @@ let reduction_report q instance =
 (* ------------------------------------------------------------------ *)
 (* GYM: Yannakakis in MPC (Section 3.2 / [6]).                         *)
 
-(* Load accounting for one repartition of two column-relations on their
-   shared columns over p servers. The rows fan out over the executor
-   into per-worker count vectors, summed afterwards — integer addition
-   commutes, so the counts are backend-independent. *)
-let repartition_stats ?(executor = Lamp_runtime.Executor.sequential) ~seed ~p
-    (r1 : Rel.t) (r2 : Rel.t) shared =
-  let module Executor = Lamp_runtime.Executor in
-  let nw = Executor.workers executor in
-  let per_worker = Array.init nw (fun _ -> Array.make p 0) in
-  let account (r : Rel.t) =
-    let pos = Rel.positions r shared in
-    let rows = Array.of_seq (Tuple.Set.to_seq r.rows) in
-    Executor.parallel_for executor ~n:(Array.length rows) (fun ~worker i ->
-        let row = rows.(i) in
-        let key =
-          String.concat "\000"
-            (List.map (fun j -> Value.to_string row.(j)) pos)
-        in
-        let dst = Hashtbl.seeded_hash (seed land max_int) key mod p in
-        let counts = per_worker.(worker) in
-        counts.(dst) <- counts.(dst) + 1)
-  in
-  account r1;
-  account r2;
-  let received = Array.make p 0 in
-  Array.iter
-    (Array.iteri (fun dst k -> received.(dst) <- received.(dst) + k))
-    per_worker;
-  let max_received = Array.fold_left max 0 received in
-  let total_received = Array.fold_left ( + ) 0 received in
-  ({ Stats.max_received; total_received }, received)
-
-module Codec = Lamp_jobs.Codec
-
-let w_rel w (r : Rel.t) =
-  Codec.w_list w Codec.w_string r.Rel.cols;
-  Codec.w_list w
-    (fun w row -> Codec.w_array w Codec.w_value row)
-    (Tuple.Set.elements r.Rel.rows)
-
-let r_rel r =
-  let cols = Codec.r_list r Codec.r_string in
-  let rows =
-    List.fold_left
-      (fun acc row -> Tuple.Set.add row acc)
-      Tuple.Set.empty
-      (Codec.r_list r (fun r -> Codec.r_array r Codec.r_value))
-  in
-  { Rel.cols; rows }
-
-(* One GYM round as a step: a level of bottom-up semi-joins, a level of
-   top-down semi-joins, or a single join edge (the join rounds of one
-   tree run one edge at a time, in [join_up] post-order). *)
-type op = Up of int | Down of int | Edge of int * int
-
-type gym_job = {
-  nops : int;  (** Rounds in the plan: one {!exec} step each. *)
-  exec : int -> unit;
-  write : Lamp_jobs.Codec.w -> unit;
-  read : Lamp_jobs.Codec.r -> unit;
-  finish : unit -> Instance.t * Stats.t;
-  shrink : round:int -> dead:int -> unit;
+(* GYM is a plan of binary ops over the numbered join forest: semi-join
+   up, semi-join down, join edge. Node [k]'s relation lives on the
+   servers as facts of one relation, one fragment per server. An op
+   routes both operands on their shared columns; each server applies the
+   op to what it received, and the result replaces the target's
+   fragment. The source is only read, so it stays where it is through
+   [previous] — except a join's child, which nothing reads again. *)
+type op = {
+  join : bool;  (* [Rel.join], else [Rel.semijoin] *)
+  target : int;
+  source : int;
+  seed : int;
+  target_cols : string list;
+  source_cols : string list;
+  target_key : int list;  (* the shared columns, in the target's order *)
+  source_key : int list;
 }
 
-(* Numbered view of the reduced forest: pre-order ids address each
-   node's mutable relation and join accumulator, so a checkpoint can be
-   written and restored positionally. *)
-type numbered = { id : int; node : reduced_tree; kids : numbered list }
+type step = {
+  ops : op list;
+  keep : int list;  (* nodes carried through [previous] *)
+}
 
-let gym_job ?(seed = 0) ?forest ?executor ?(faults = Lamp_faults.Plan.none) ~p
-    q instance =
-  if p < 1 then invalid_arg "Yannakakis.gym: p < 1";
-  Lamp_obs.Sketch.set_context "gym";
-  let forest =
-    match forest with Some f -> Some f | None -> Hypergraph.gyo q
+type plan = {
+  atoms : Ast.atom array;  (* node [k]'s atom, numbered in pre-order *)
+  names : string array;  (* node [k]'s relation on the servers *)
+  steps : step array;  (* one per round *)
+  roots : (int * string list) list;  (* each tree's root, final columns *)
+}
+
+type numbered = { id : int; kids : numbered list }
+
+let plan ?(seed = 0) forest =
+  let atoms = ref [] and count = ref 0 in
+  let rec number (t : Hypergraph.join_tree) =
+    let id = !count in
+    incr count;
+    atoms := t.Hypergraph.atom :: !atoms;
+    { id; kids = List.map number t.Hypergraph.children }
   in
-  match forest with
-  | None -> raise Cyclic
-  | Some forest ->
-    let trees = List.map (of_join_tree instance) forest in
-    let counter = ref 0 in
-    let rec number t =
-      let id = !counter in
-      incr counter;
-      { id; node = t; kids = List.map number t.children }
+  let roots = List.map number forest in
+  let atoms = Array.of_list (List.rev !atoms) in
+  let n = Array.length atoms in
+  let cols = Array.map atom_cols atoms in
+  let alive = Array.make n true in
+  let op ~join ~seed target source =
+    let shared =
+      List.filter (fun c -> List.mem c cols.(source)) cols.(target)
     in
-    let roots = List.map number trees in
-    let nodes =
-      match trees with
-      | [] -> [||]
-      | first :: _ -> Array.make !counter first
+    let o =
+      {
+        join;
+        target;
+        source;
+        seed;
+        target_cols = cols.(target);
+        source_cols = cols.(source);
+        target_key = Rel.col_positions cols.(target) shared;
+        source_key = Rel.col_positions cols.(source) shared;
+      }
     in
-    let rec index nd =
-      nodes.(nd.id) <- nd.node;
-      List.iter index nd.kids
-    in
-    List.iter index roots;
-    (* The running join result at each node ([None] until its first
-       Edge op fires; a leaf's result is its reduced relation). *)
-    let acc = Array.make (max 1 !counter) None in
-    let get_acc id =
-      match acc.(id) with Some r -> r | None -> nodes.(id).rel
-    in
-    let rec depth node =
-      1 + List.fold_left (fun a c -> max a (depth c)) 0 node.children
-    in
-    let max_depth = List.fold_left (fun a t -> max a (depth t)) 0 trees in
-    let rec edge_ops nd =
-      List.concat_map edge_ops nd.kids
-      @ List.map (fun k -> Edge (nd.id, k.id)) nd.kids
-    in
-    let ops =
-      Array.of_list
-        (List.init (max_depth - 1) (fun i -> Up (max_depth - 1 - i))
-        @ List.init (max_depth - 1) (fun i -> Down (i + 1))
-        @ List.concat_map edge_ops roots)
-    in
-    (* Mutable job state: current server count (shrinks on a permanent
-       crash), completed rounds (newest first, with the per-server
-       delivery counts the analytic fault accounting reads) and the
-       rebalance records already charged. *)
-    let p = ref p in
-    let initial_max = (Instance.cardinal instance + !p - 1) / !p in
-    let rounds = ref [] in
-    let rebalances = ref [] in
-    let push stats_list =
-      (* Semi-joins at the same tree level run in the same round: their
-         loads add per server only if they hash to the same servers; we
-         conservatively merge by summing totals and taking the max of
-         maxima (each operation uses its own hash seed, spreading
-         load). The per-server delivery counts sum element-wise — the
-         fault accounting below needs to know what a crashed server
-         would have to re-fetch. *)
-      match stats_list with
-      | [] -> ()
-      | _ ->
-        let merged =
-          List.fold_left
-            (fun acc (s, _) ->
-              {
-                Stats.max_received =
-                  max acc.Stats.max_received s.Stats.max_received;
-                total_received =
-                  acc.Stats.total_received + s.Stats.total_received;
-              })
-            { Stats.max_received = 0; total_received = 0 }
-            stats_list
-        in
-        let merged_received = Array.make !p 0 in
-        List.iter
-          (fun (_, received) ->
-            Array.iteri
-              (fun i k -> merged_received.(i) <- merged_received.(i) + k)
-              received)
-          stats_list;
-        rounds := (merged, merged_received) :: !rounds
-    in
-    let shared_cols (a : Rel.t) (b : Rel.t) =
-      List.filter (fun c -> List.mem c b.Rel.cols) a.Rel.cols
-    in
-    let exec k =
-      match ops.(k) with
-      | Up level ->
-        (* One level of bottom-up semi-joins, deepest first. *)
-        let batch = ref [] in
-        let rec visit d node =
-          if d = level then
-            List.iter
-              (fun child ->
-                batch :=
-                  repartition_stats ?executor ~seed:(seed + (level * 31))
-                    ~p:!p node.rel child.rel
-                    (shared_cols node.rel child.rel)
-                  :: !batch;
-                node.rel <- Rel.semijoin node.rel child.rel)
-              node.children
-          else List.iter (visit (d + 1)) node.children
-        in
-        List.iter (visit 1) trees;
-        push !batch
-      | Down level ->
-        let batch = ref [] in
-        let rec visit d node =
-          if d = level then
-            List.iter
-              (fun child ->
-                batch :=
-                  repartition_stats ?executor
-                    ~seed:(seed + 1000 + (level * 31))
-                    ~p:!p child.rel node.rel
-                    (shared_cols child.rel node.rel)
-                  :: !batch;
-                child.rel <- Rel.semijoin child.rel node.rel)
-              node.children
-          else List.iter (visit (d + 1)) node.children
-        in
-        List.iter (visit 1) trees;
-        push !batch
-      | Edge (nid, cid) ->
-        let a = get_acc nid and b = get_acc cid in
-        push
-          [
-            repartition_stats ?executor ~seed:(seed + 2000) ~p:!p a b
-              (shared_cols a b);
-          ];
-        acc.(nid) <- Some (Rel.join a b)
-    in
-    let write w =
-      Codec.w_int w !p;
-      Codec.w_list w Stats.w_recovery !rebalances;
-      Codec.w_list w
-        (fun w (rs, received) ->
-          Stats.w_round_stats w rs;
-          Codec.w_array w Codec.w_int received)
-        !rounds;
-      Array.iteri
-        (fun i node ->
-          w_rel w node.rel;
-          Codec.w_option w w_rel acc.(i))
-        nodes
-    in
-    let read r =
-      p := Codec.r_int r;
-      rebalances := Codec.r_list r Stats.r_recovery;
-      rounds :=
-        Codec.r_list r (fun r ->
-            let rs = Stats.r_round_stats r in
-            let received = Codec.r_array r Codec.r_int in
-            (rs, received));
-      Array.iteri
-        (fun i node ->
-          node.rel <- r_rel r;
-          acc.(i) <- Codec.r_option r r_rel)
-        nodes
-    in
-    let shrink ~round ~dead =
-      if dead >= 0 && dead < !p && !p > 1 then begin
-        (* Analytic, like the rest of GYM's fault model: the dead
-           server's ~m/p resident share is rehashed onto the
-           survivors; every later repartition hashes mod the new p. *)
-        let replayed = (Instance.cardinal instance + !p - 1) / !p in
-        rebalances :=
-          {
-            Stats.round;
-            crashed = 1;
-            replayed;
-            retransmitted = 0;
-            duplicates = 0;
-            retries = 0;
-            speculated = 0;
-          }
-          :: !rebalances;
-        p := !p - 1
-      end
-    in
-    let finish () =
-      (* The cross-tree joins are coordinator-local (disjoint column
-         sets, no repartition), so they cost no round. *)
-      let joined =
-        match roots with
-        | [] -> { Rel.cols = []; rows = Tuple.Set.singleton [||] }
-        | first :: rest ->
-          List.fold_left
-            (fun a nd -> Rel.join a (get_acc nd.id))
-            (get_acc first.id) rest
+    if join then begin
+      cols.(target) <-
+        cols.(target)
+        @ List.filter (fun c -> not (List.mem c cols.(target))) cols.(source);
+      alive.(source) <- false
+    end;
+    o
+  in
+  (* No round reads its own output: a parent is reduced by one child per
+     round, a level's downward semi-joins share one round, and the join
+     edges run one per round, in post-order. *)
+  let steps = ref [] in
+  let round ops =
+    if ops <> [] then begin
+      let targets = List.map (fun o -> o.target) ops in
+      let keep =
+        List.filter
+          (fun k -> alive.(k) && not (List.mem k targets))
+          (List.init n Fun.id)
       in
-      let head = Ast.head q in
-      let result =
-        Tuple.Set.fold
-          (fun row acc ->
-            let value_of = function
-              | Ast.Const c -> c
-              | Ast.Var v ->
-                let i =
-                  match List.find_index (String.equal v) joined.Rel.cols with
-                  | Some i -> i
-                  | None -> assert false
-                in
-                row.(i)
+      steps := { ops; keep } :: !steps
+    end
+  in
+  let rec at_level level nd =
+    if level = 1 then [ nd ] else List.concat_map (at_level (level - 1)) nd.kids
+  in
+  let level_nodes level = List.concat_map (at_level level) roots in
+  let rec depth nd = 1 + List.fold_left (fun a k -> max a (depth k)) 0 nd.kids in
+  let max_depth = List.fold_left (fun a t -> max a (depth t)) 0 roots in
+  for level = max_depth - 1 downto 1 do
+    let nodes = level_nodes level in
+    let width = List.fold_left (fun a nd -> max a (List.length nd.kids)) 0 nodes in
+    for j = 0 to width - 1 do
+      round
+        (List.filter_map
+           (fun nd ->
+             Option.map
+               (fun kid -> op ~join:false ~seed:(seed + (level * 31)) nd.id kid.id)
+               (List.nth_opt nd.kids j))
+           nodes)
+    done
+  done;
+  for level = 1 to max_depth - 1 do
+    round
+      (List.concat_map
+         (fun nd ->
+           List.map
+             (fun kid ->
+               op ~join:false ~seed:(seed + 1000 + (level * 31)) kid.id nd.id)
+             nd.kids)
+         (level_nodes level))
+  done;
+  let rec edges nd =
+    List.iter edges nd.kids;
+    List.iter
+      (fun kid -> round [ op ~join:true ~seed:(seed + 2000) nd.id kid.id ])
+      nd.kids
+  in
+  List.iter edges roots;
+  {
+    atoms;
+    names = Array.init n (Fmt.str "\006n%d");
+    steps = Array.of_list (List.rev !steps);
+    roots = List.map (fun nd -> (nd.id, cols.(nd.id))) roots;
+  }
+
+(* Node [k]'s fragment in a server's local: before GYM's first round the
+   local still holds the input, and the fragment is the atom's
+   relation. *)
+let fragment plan ~fresh local k =
+  if fresh then (atom_relation local plan.atoms.(k)).Rel.rows
+  else Instance.tuples local plan.names.(k)
+
+let hash ~seed ~p key row =
+  let key = String.concat "\000" (List.map (fun j -> Value.to_string row.(j)) key) in
+  Hashtbl.seeded_hash (seed land max_int) key mod p
+
+let rounds plan ~p =
+  Array.mapi
+    (fun r step ->
+      let fresh = r = 0 in
+      (* Each op's two operands travel under relations of their own, so
+         two ops shipping the same node to one server are two loads. *)
+      let ops =
+        List.mapi
+          (fun j o -> (o, Fmt.str "\006op%d<" j, Fmt.str "\006op%d>" j))
+          step.ops
+      in
+      {
+        Cluster.communicate =
+          (fun _ local ->
+            let ship acc ~seed ~tag key k =
+              Tuple.Set.fold
+                (fun row acc -> (hash ~seed ~p key row, Fact.make tag row) :: acc)
+                (fragment plan ~fresh local k)
+                acc
             in
-            Instance.add
-              (Fact.of_list head.Ast.rel (List.map value_of head.Ast.terms))
-              acc)
-          joined.Rel.rows Instance.empty
-      in
-      let rounds_in_order = List.rev !rounds in
-      (* Crash recovery, modelled analytically (GYM's data path runs on
-         the coordinator — only loads are simulated per server): a
-         server crashing during round r has the facts repartitioned to
-         it that round re-shipped to its replacement; transient compute
-         faults cost a retry each; a straggler past the speculation
-         budget costs a backup copy. *)
-      let recoveries =
-        let module Plan = Lamp_faults.Plan in
-        if Plan.is_none faults then []
-        else begin
-          let budget = Plan.speculation_budget faults in
-          let _, analytic =
             List.fold_left
-              (fun (round, acc) ((_ : Stats.round_stats), received) ->
-                let crashed = ref 0 in
-                let replayed = ref 0 in
-                let retries = ref 0 in
-                let speculated = ref 0 in
-                for s = 0 to Array.length received - 1 do
-                  if Plan.crashes faults ~round ~server:s then begin
-                    incr crashed;
-                    replayed := !replayed + received.(s)
-                  end;
-                  retries :=
-                    !retries
-                    + Plan.transient_failures faults ~round
-                        ~phase:Plan.Compute ~task:s;
-                  if budget > 0.0 then begin
-                    let stall =
-                      Plan.straggle_delay faults ~round ~phase:Plan.Compute
-                        ~task:s
-                    in
-                    if
-                      stall > 0.0
-                      && (stall > budget
-                         || stall = budget
-                            && Plan.speculation_tie faults ~round
-                                 ~phase:Plan.Compute ~task:s
-                               = `Backup)
-                    then incr speculated
-                  end
-                done;
-                let acc =
-                  if !crashed > 0 || !retries > 0 || !speculated > 0 then
-                    {
-                      Stats.round;
-                      crashed = !crashed;
-                      replayed = !replayed;
-                      retransmitted = 0;
-                      duplicates = 0;
-                      retries = !retries;
-                      speculated = !speculated;
-                    }
-                    :: acc
-                  else acc
+              (fun acc (o, tag_t, tag_s) ->
+                let acc = ship acc ~seed:o.seed ~tag:tag_t o.target_key o.target in
+                ship acc ~seed:o.seed ~tag:tag_s o.source_key o.source)
+              [] ops);
+        compute =
+          (fun _ ~received ~previous ->
+            let kept =
+              List.fold_left
+                (fun acc k ->
+                  Instance.add_tuple_set plan.names.(k)
+                    (fragment plan ~fresh previous k)
+                    acc)
+                Instance.empty step.keep
+            in
+            List.fold_left
+              (fun acc (o, tag_t, tag_s) ->
+                let r1 =
+                  { Rel.cols = o.target_cols; rows = Instance.tuples received tag_t }
+                and r2 =
+                  { Rel.cols = o.source_cols; rows = Instance.tuples received tag_s }
                 in
-                (round + 1, acc))
-              (1, []) rounds_in_order
-          in
-          (* Rebalance records interleave with the per-round analytic
-             ones; on the same round the rebalance happened first. *)
-          List.stable_sort
-            (fun a b -> compare a.Stats.round b.Stats.round)
-            (List.rev !rebalances @ List.rev analytic)
-        end
-      in
-      let stats =
-        {
-          Stats.p = !p;
-          initial_max;
-          rounds = List.map fst rounds_in_order;
-          recoveries;
-        }
-      in
-      (result, stats)
+                let r = if o.join then Rel.join r1 r2 else Rel.semijoin r1 r2 in
+                Instance.add_tuple_set plan.names.(o.target) r.Rel.rows acc)
+              kept ops);
+      })
+    plan.steps
+
+(* The answer. One tree's result is projected onto the head on every
+   server. Several trees are projected on every server onto the columns
+   the head or another tree reads, gathered, and joined on the
+   coordinator (they share no round). *)
+let output plan head cluster =
+  let fresh = Array.length plan.steps = 0 in
+  let fragments k =
+    Array.to_list (Array.map (fun l -> fragment plan ~fresh l k) (Cluster.locals cluster))
+  in
+  match plan.roots with
+  | [ (k, cols) ] -> head_facts head cols (fragments k)
+  | roots ->
+    let head_vars =
+      List.filter_map (function Ast.Var v -> Some v | Ast.Const _ -> None)
+        head.Ast.terms
     in
-    { nops = Array.length ops; exec; write; read; finish; shrink }
+    let tree (k, cols) =
+      let needed =
+        List.filter
+          (fun c ->
+            List.mem c head_vars
+            || List.exists (fun (k', cols') -> k' <> k && List.mem c cols') roots)
+          cols
+      in
+      let pos = Rel.col_positions cols needed in
+      {
+        Rel.cols = needed;
+        rows =
+          List.fold_left
+            (fun acc rows -> Tuple.Set.union acc (Rel.project_rows pos rows))
+            Tuple.Set.empty (fragments k);
+      }
+    in
+    let joined =
+      match List.map tree roots with
+      | [] -> { Rel.cols = []; rows = Tuple.Set.singleton [||] }
+      | first :: rest -> List.fold_left Rel.join first rest
+    in
+    head_facts head joined.Rel.cols [ joined.Rel.rows ]
 
 let gym ?seed ?forest ?executor ?(faults = Lamp_faults.Plan.none) ?job ~p q
     instance =
-  let g = gym_job ?seed ?forest ?executor ~faults ~p q instance in
+  if p < 1 then invalid_arg "Yannakakis.gym: p < 1";
+  Lamp_obs.Sketch.set_context "gym";
+  let forest =
+    match forest with
+    | Some f -> f
+    | None -> ( match Hypergraph.gyo q with Some f -> f | None -> raise Cyclic)
+  in
+  let plan = plan ?seed forest in
+  let cluster = ref (Cluster.create ?executor ~faults ~p instance) in
   Cluster.supervise ?job ~name:"gym" ~faults
-    {
-      Lamp_jobs.Supervisor.step =
-        (fun k ->
-          if k >= g.nops then `Done
-          else begin
-            g.exec k;
-            if k = g.nops - 1 then `Done else `Continue
-          end);
-      snapshot =
-        (fun () ->
-          let w = Codec.writer () in
-          g.write w;
-          Codec.contents w);
-      restore =
-        (fun ~round:_ payload ->
-          let r = Codec.reader payload in
-          g.read r;
-          Codec.r_end r);
-      rebalance =
-        (fun ~round ~dead ->
-          g.shrink ~round ~dead;
-          `Continue);
-    };
-  g.finish ()
+    (Multi_round.cluster_script ?executor ~faults cluster ~rounds_for:(rounds plan)
+       ~rebalance:(Multi_round.rebalance_shrink cluster));
+  (output plan (Ast.head q) !cluster, Cluster.stats !cluster)

@@ -5,9 +5,8 @@
     semi-join passes over a join tree) eliminating all dangling tuples,
     then joins bottom-up; after reduction no intermediate join result
     exceeds what is needed for the final output. GYM executes the same
-    passes as MPC rounds — semi-joins of the same tree level share a
-    round — so the round count grows with the tree depth while the
-    per-round load stays near m/p. *)
+    passes as MPC rounds on {!Cluster}, so the round count grows with
+    the tree depth while the per-round load stays near m/p. *)
 
 open Lamp_relational
 
@@ -35,52 +34,41 @@ val gym :
   Lamp_cq.Ast.t ->
   Instance.t ->
   Instance.t * Stats.t
-(** GYM: the reducer and join passes executed as repartition rounds on
-    [p] servers, with per-round load accounting. An explicit join forest
-    overrides the GYO-constructed one — the shape (in particular depth)
-    of the tree is GYM's round/communication trade-off knob.
+(** GYM: the reducer and join passes as {!Cluster} rounds on [p]
+    servers, starting from {!Cluster.create}'s round-robin partition. An
+    explicit join forest overrides the GYO-constructed one — the shape
+    (in particular depth) of the tree is GYM's round/communication
+    trade-off knob.
 
-    GYM's data path runs on the coordinator (only loads are simulated
-    per server), so a fault plan cannot perturb its output; crashes,
-    transient faults and straggler speculation are accounted
-    analytically: a server that crashes during a round has the facts
-    repartitioned to it that round re-shipped to its replacement,
-    recorded in [Stats.recoveries].
+    Each round runs binary ops side by side: a semi-join up (a parent
+    reduced by one child), a semi-join down, or a join edge. An op
+    hashes both operands on their shared columns; the op's target keeps
+    the result where it was computed, and its source stays where it is.
+    No round reads its own output, so a parent with several children is
+    reduced by one child per round, all of a level's downward semi-joins
+    share a round, and the join edges run one per round. Loads, fault
+    recovery and checkpoints are {!Cluster}'s: a fault plan hits GYM's
+    messages and the recovery wave repairs them.
 
-    With [job], each round (a semi-join level or a join edge) is one
-    supervised, checkpointed step; a permanent crash-stop shrinks the
-    server count p→p−1 analytically and continues — every repartition
-    rehashes from scratch, so no cross-round rendezvous breaks.
+    With [job], each round is one supervised, checkpointed step; every
+    op rehashes its operands, so a permanent crash-stop shrinks the
+    cluster to the survivors ({!Multi_round.rebalance_shrink}) and
+    continues.
     @raise Cyclic when the query is not acyclic and no forest is
     given. *)
 
-(** {1 Step-indexed GYM for job composition} *)
+(** {1 GYM's rounds, for composition} *)
 
-type gym_job = {
-  nops : int;  (** Rounds in the plan: one {!exec} step each. *)
-  exec : int -> unit;  (** Run round [k] (0-indexed). *)
-  write : Lamp_jobs.Codec.w -> unit;  (** Serialize the whole job state. *)
-  read : Lamp_jobs.Codec.r -> unit;  (** Restore what {!write} captured. *)
-  finish : unit -> Instance.t * Stats.t;
-      (** Final cross-tree join, result projection and fault
-          accounting; callable once all [nops] steps ran (or were
-          restored as complete). *)
-  shrink : round:int -> dead:int -> unit;
-      (** Analytic survivor rebalancing: charge the dead server's
-          resident share as replay traffic and drop p by one. *)
-}
-(** GYM decomposed into checkpointable single-round steps, so a
-    composite algorithm (e.g. {!Gym_ghd}) can interleave its own
-    supervised steps with GYM's. *)
+type plan
+(** GYM's ops over a numbered join forest, grouped into rounds. *)
 
-val gym_job :
-  ?seed:int ->
-  ?forest:Lamp_cq.Hypergraph.join_tree list ->
-  ?executor:Lamp_runtime.Executor.t ->
-  ?faults:Lamp_faults.Plan.t ->
-  p:int ->
-  Lamp_cq.Ast.t ->
-  Instance.t ->
-  gym_job
-(** Build the step-indexed form; {!gym} is [gym_job] driven through
-    {!Cluster.supervise}. *)
+val plan : ?seed:int -> Lamp_cq.Hypergraph.join_tree list -> plan
+
+val rounds : plan -> p:int -> Cluster.round array
+(** The plan's rounds on [p] servers. The first reads each node's
+    atom from the servers' locals; {!Gym_ghd} runs them after its
+    HyperCube round, over the bag relations. *)
+
+val output : plan -> Lamp_cq.Ast.atom -> Cluster.t -> Instance.t
+(** The head's facts, once every round of {!rounds} ran on the
+    cluster. *)

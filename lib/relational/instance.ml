@@ -39,12 +39,25 @@ let of_facts facts =
   | [] -> empty
   | _ ->
     let buckets : (string, Tuple.t list) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun f ->
-        let rel = Fact.rel f in
+    (* Facts come in runs of one relation: a run is collected apart and
+       filed in its bucket when the relation changes. *)
+    let flush rel run =
+      if run <> [] then
         let prev = Option.value ~default:[] (Hashtbl.find_opt buckets rel) in
-        Hashtbl.replace buckets rel (Fact.args f :: prev))
-      facts;
+        Hashtbl.replace buckets rel (List.rev_append run prev)
+    in
+    let rel, run =
+      List.fold_left
+        (fun (rel, run) f ->
+          let r = Fact.rel f in
+          if r == rel || String.equal r rel then (rel, Fact.args f :: run)
+          else begin
+            flush rel run;
+            (r, [ Fact.args f ])
+          end)
+        ("", []) facts
+    in
+    flush rel run;
     Hashtbl.fold
       (fun rel tups acc -> Smap.add rel (Tuple.Set.of_list tups) acc)
       buckets Smap.empty

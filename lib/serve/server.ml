@@ -597,7 +597,7 @@ let note_reaped t =
   Trace.incr reaped_c
 
 (* Three deadlines, when set, bound every socket wait of a session: the
-   idle timeout the wait for a request to {e start} (a cheap select),
+   idle timeout the wait for a request to {e start} ([Wire.wait_readable]),
    the read deadline a started frame (defeats slow-loris trickle), and
    the write deadline a whole response. A session cut off by any of
    them counts as reaped. *)
@@ -614,9 +614,6 @@ let session t fd =
       session_leave t fd;
       try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      (* Non-blocking, so a write into a full buffer waits under the
-         write deadline instead of inside the kernel. *)
-      Unix.set_nonblock fd;
       if not admitted then begin
         Atomic.incr t.rejected;
         Trace.incr rejected_c;
@@ -661,37 +658,29 @@ let session t fd =
         | Wire.Timed_out -> note_reaped t
       end)
 
-(* Poll with a timeout rather than block in accept: on Linux a thread
-   blocked in accept(2) is NOT woken when another thread closes the
-   listening fd, so a blocking acceptor would hang [stop]. The listener
-   is created before any session, so its fd number is far below
-   select's FD_SETSIZE; session sockets never go through select. *)
+(* The acceptor blocks in accept(2). The listener's SO_RCVTIMEO wakes
+   it to look at [stopped] again, and [stop] shuts the listener down,
+   which wakes it at once. *)
 let acceptor t listen_fd =
   let rec loop () =
     if not (Mutex.protect t.lock (fun () -> t.stopped)) then begin
-      match Unix.select [ listen_fd ] [] [] 0.2 with
-      | [], _, _ -> loop ()
-      | _ :: _, _, _ ->
-        (match Unix.accept ~cloexec:true listen_fd with
-        | fd, _ -> ignore (Thread.create (fun () -> session t fd) ())
-        | exception
-            Unix.Unix_error
-              ((EAGAIN | EWOULDBLOCK | ECONNABORTED | EINTR), _, _) ->
-          ()
-        | exception Unix.Unix_error ((EBADF | EINVAL), _, _) ->
-          (* Listener closed by [stop]; the guard above exits. *)
-          ()
-        | exception Unix.Unix_error _ ->
-          (* e.g. EMFILE under fd pressure: back off, retry. *)
-          Thread.delay 0.01);
-        loop ()
-      | exception Unix.Unix_error (EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error ((EBADF | EINVAL), _, _) -> loop ()
+      (match Unix.accept ~cloexec:true listen_fd with
+      | fd, _ -> ignore (Thread.create (fun () -> session t fd) ())
+      | exception
+          Unix.Unix_error
+            ((EAGAIN | EWOULDBLOCK | ECONNABORTED | EINTR | EBADF | EINVAL), _, _)
+        ->
+        ()
+      | exception Unix.Unix_error _ ->
+        (* e.g. EMFILE under fd pressure: back off, retry. *)
+        Thread.delay 0.01);
+      loop ()
     end
   in
   loop ()
 
 let start_listener t fd =
+  Unix.setsockopt_float fd SO_RCVTIMEO 0.2;
   Mutex.protect t.lock (fun () ->
       if t.stopped then begin
         (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -749,11 +738,14 @@ let stop t =
           ls
         end)
   in
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) listeners;
+  List.iter
+    (fun fd -> try Unix.shutdown fd SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+    listeners;
   Mutex.protect t.lock (fun () ->
       while t.session_count > 0 do
         Condition.wait t.session_exit t.lock
       done);
   let acceptors = t.acceptors in
   t.acceptors <- [];
-  List.iter Thread.join acceptors
+  List.iter Thread.join acceptors;
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) listeners

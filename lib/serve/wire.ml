@@ -405,29 +405,45 @@ let checksum s =
   done;
   !h land max_int
 
-(* Block until [fd] is ready, or the absolute [deadline] (if any)
-   passes. *)
-let rec wait_fd fd ~for_read ~deadline =
-  let timeout =
-    match deadline with
-    | None -> -1.0
-    | Some d ->
-      let left = d -. Unix.gettimeofday () in
-      if left <= 0.0 then raise Timed_out;
-      left
-  in
-  let rs, ws = if for_read then ([ fd ], []) else ([], [ fd ]) in
-  match Unix.select rs ws [] timeout with
-  | [], [], _ -> wait_fd fd ~for_read ~deadline
-  | _ -> ()
-  | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-    wait_fd fd ~for_read ~deadline
+(* Sockets stay blocking; a deadline bounds each call in the kernel.
+   Before a read (write) the socket's SO_RCVTIMEO (SO_SNDTIMEO) is set
+   to the time left, and a call that runs out of it fails with EAGAIN
+   (or returns what it moved so far). Each call is one read(2) or one
+   write(2), so none waits longer than the time left. The timeval is
+   microseconds and 0 means no timeout, so the time left is never set
+   below 1 ms. *)
+let bound fd opt deadline =
+  let left = deadline -. Unix.gettimeofday () in
+  if left <= 0.0 then raise Timed_out;
+  Unix.setsockopt_float fd opt (Float.max left 0.001)
 
+(* EAGAIN ends a kernel timeout: with a deadline, the next [bound]
+   raises [Timed_out] once it has passed. Without one, the timeout is a
+   stale one from an earlier deadline on this socket (or inherited from
+   the listener), and is cleared. *)
+let timed_out fd opt deadline =
+  if Option.is_none deadline then Unix.setsockopt_float fd opt 0.0
+
+external poll_readable : Unix.file_descr -> int -> int = "lamp_poll_readable"
+
+(* The wait for a request to start is poll(2), not a blocked read: a
+   reader blocked in read(2) on a Unix socket is also woken each time
+   the peer consumes what this side sent (the write-space wakeup shares
+   the socket's wait queue), so a session would be rescheduled once per
+   frame of the response it just streamed. poll wakes only for input,
+   on any descriptor number. *)
 let wait_readable ?timeout_s fd =
   let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout_s in
-  match wait_fd fd ~for_read:true ~deadline with
-  | () -> true
-  | exception Timed_out -> false
+  let rec wait () =
+    let ms =
+      match deadline with
+      | None -> -1
+      | Some d ->
+        max 0 (int_of_float (Float.ceil ((d -. Unix.gettimeofday ()) *. 1000.0)))
+    in
+    match poll_readable fd ms with -1 -> wait () | n -> n = 1
+  in
+  wait ()
 
 (* POSIX raises SIGPIPE on a write after the peer has shut its read
    side, and the default disposition terminates the process — the
@@ -438,22 +454,18 @@ let sigpipe_ignored =
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
      with Invalid_argument _ -> ())
 
-(* On a non-blocking socket a full buffer answers [EAGAIN] and the
-   transfer waits for readiness under the same deadline, so no call
-   blocks past it. On a blocking socket the deadline bounds the wait
-   before each call. *)
 let rec write_all ?deadline fd s off len =
   Lazy.force sigpipe_ignored;
   if len > 0 then begin
-    if Option.is_some deadline then wait_fd fd ~for_read:false ~deadline;
-    match Unix.write_substring fd s off len with
+    Option.iter (bound fd Unix.SO_SNDTIMEO) deadline;
+    match Unix.single_write_substring fd s off len with
     | n -> write_all ?deadline fd s (off + n) (len - n)
     | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
       raise Closed
     | exception Unix.Unix_error (Unix.EINTR, _, _) ->
       write_all ?deadline fd s off len
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      wait_fd fd ~for_read:false ~deadline;
+      timed_out fd Unix.SO_SNDTIMEO deadline;
       write_all ?deadline fd s off len
   end
 
@@ -461,14 +473,14 @@ let read_all ?deadline fd len =
   let buf = Bytes.create len in
   let rec go off =
     if off < len then begin
-      if Option.is_some deadline then wait_fd fd ~for_read:true ~deadline;
+      Option.iter (bound fd Unix.SO_RCVTIMEO) deadline;
       match Unix.read fd buf off (len - off) with
       | 0 -> raise Closed
       | n -> go (off + n)
       | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> raise Closed
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        wait_fd fd ~for_read:true ~deadline;
+        timed_out fd Unix.SO_RCVTIMEO deadline;
         go off
     end
   in

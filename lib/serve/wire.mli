@@ -180,13 +180,14 @@ val response_of_string : ?version:int -> string -> response
     {!Too_large} before any allocation.
 
     Every operation takes an optional {e absolute} [deadline] (a
-    [Unix.gettimeofday] timestamp): when the socket is not ready by
-    then, {!Timed_out} is raised and the frame is torn — the connection
-    must be abandoned, not reused. On a blocking socket the deadline
-    bounds the wait before each system call, and a write larger than
-    the free buffer space can still block inside the kernel. On a
-    non-blocking socket (the server's sessions) it bounds the whole
-    transfer.
+    [Unix.gettimeofday] timestamp): when the transfer has not finished
+    by then, {!Timed_out} is raised and the frame is torn — the
+    connection must be abandoned, not reused. Sockets stay blocking:
+    before each read (write) call the socket's [SO_RCVTIMEO]
+    ([SO_SNDTIMEO]) is set to the time left, so the kernel itself ends
+    a call that would block past the deadline, on any descriptor
+    number. A call with no deadline clears a timeout an earlier call
+    left on the socket when it fires.
 
     {b Global side effect — SIGPIPE.} The first framed {e write} in a
     process sets the {e process-wide} SIGPIPE disposition to
@@ -219,8 +220,10 @@ val checksum : string -> int
     the digest. Exposed for the property tests. *)
 
 val wait_readable : ?timeout_s:float -> Unix.file_descr -> bool
-(** Blocks until the descriptor is readable (true) or [timeout_s]
-    elapses (false; never with no timeout). EINTR-safe. *)
+(** Blocks until the descriptor is readable or hung up (true) or
+    [timeout_s] elapses (false; never with no timeout), by poll(2): any
+    descriptor number, EINTR-safe. Unlike a read blocked on a Unix
+    socket, it is not woken when the peer consumes what was sent. *)
 
 val read_frame : ?max_len:int -> ?deadline:float -> Unix.file_descr -> string
 (** [max_len] defaults to {!max_frame}. *)

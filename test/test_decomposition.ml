@@ -129,6 +129,28 @@ let test_gym_ghd_acyclic_default () =
   Alcotest.check instance "chain via GHD" (Lamp_cq.Eval.eval chain i) result;
   Alcotest.(check int) "per-atom bags" 1 width
 
+(* Three per-atom bags on two servers: the HyperCube slices wrap and
+   one server runs two bags. Every bag's grid is one cell holding all
+   of E, and two bags on one server are two loads: round 1 ships E
+   three times, twice to the shared server. *)
+let test_gym_ghd_bags_outnumber_servers () =
+  let q = Parser.query "H(x,w) <- E(x,y), E(y,z), E(z,w)" in
+  let i =
+    Generate.random_relation ~rng:(rng ()) ~rel:"E" ~arity:2 ~size:40
+      ~domain:10 ()
+  in
+  let m = Instance.cardinal i in
+  let result, stats, _ = Gym_ghd.run ~p:2 q i in
+  Alcotest.check instance "path via wrapped slices" (Lamp_cq.Eval.eval q i)
+    result;
+  match stats.Stats.rounds with
+  | first :: _ ->
+    Alcotest.(check int) "round 1 ships E once per bag" (3 * m)
+      first.Stats.total_received;
+    Alcotest.(check int) "the shared server receives E twice" (2 * m)
+      first.Stats.max_received
+  | [] -> Alcotest.fail "no rounds"
+
 let test_gym_ghd_explicit_decomposition () =
   let i = triangle_instance () in
   let d = Decomposition.singleton Examples.q2_triangle in
@@ -216,6 +238,8 @@ let () =
           Alcotest.test_case "triangle" `Quick test_gym_ghd_triangle;
           Alcotest.test_case "4-cycle" `Quick test_gym_ghd_four_cycle;
           Alcotest.test_case "acyclic default" `Quick test_gym_ghd_acyclic_default;
+          Alcotest.test_case "bags outnumber servers" `Quick
+            test_gym_ghd_bags_outnumber_servers;
           Alcotest.test_case "explicit decomposition" `Quick
             test_gym_ghd_explicit_decomposition;
           Alcotest.test_case "rejects invalid" `Quick test_gym_ghd_rejects_invalid;

@@ -454,6 +454,49 @@ let test_gym_analytic_crash_accounting () =
   Alcotest.(check bool) "replayed load accounted" true
     (Stats.recovery_load stats > 0)
 
+(* What p servers receive in a round, one of them receives at least a
+   p-th of: a round's max load is never below its mean, also when a
+   round runs several ops side by side. *)
+let check_max_at_least_mean name (stats : Stats.t) =
+  List.iteri
+    (fun r (rs : Stats.round_stats) ->
+      Alcotest.(check bool)
+        (Fmt.str "%s round %d: max %d * p %d >= total %d" name (r + 1)
+           rs.Stats.max_received stats.Stats.p rs.Stats.total_received)
+        true
+        (rs.Stats.max_received * stats.Stats.p >= rs.Stats.total_received))
+    stats.Stats.rounds
+
+(* E6's star of 4 under a flat tree: R2, R3 and R4 all children of R1. *)
+let flat_star_forest =
+  let node rel v children =
+    {
+      Hypergraph.atom = Ast.atom rel [ Ast.Var "x"; Ast.Var v ];
+      vars = Hypergraph.Sset.of_list [ "x"; v ];
+      children;
+    }
+  in
+  [ node "R1" "a" [ node "R2" "b" []; node "R3" "c" []; node "R4" "d" [] ] ]
+
+let test_max_load_at_least_mean () =
+  List.iter
+    (fun (name, run) ->
+      let _, stats = run ~executor:Executor.sequential ~faults:Plan.none in
+      check_max_at_least_mean name stats)
+    algorithms;
+  let i =
+    Workload.acyclic_chain ~rng:(Random.State.make [| 6 |]) ~m:3000
+      ~domain:1500 ~rels:[ "R1"; "R2"; "R3"; "R4" ]
+  in
+  let star = Parser.query "H(x) <- R1(x,a), R2(x,b), R3(x,c), R4(x,d)" in
+  let out, stats = Yannakakis.gym ~forest:flat_star_forest ~p:16 star i in
+  Alcotest.check instance "flat star answer" (Eval.eval star i) out;
+  check_max_at_least_mean "gym flat star" stats;
+  (* R1 is reduced by one child per round (3), the children by R1 in
+     one shared round (1), then one join edge per round (3). *)
+  Alcotest.(check int) "flat star rounds: 3 up, 1 down, 3 join" 7
+    (Stats.rounds stats)
+
 (* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
@@ -694,6 +737,8 @@ let () =
             test_total_crash_recovers;
           Alcotest.test_case "gym analytic crashes" `Quick
             test_gym_analytic_crash_accounting;
+          Alcotest.test_case "no round's max load below its mean" `Quick
+            test_max_load_at_least_mean;
         ] );
       ( "net plans",
         [

@@ -1326,6 +1326,114 @@ let test_write_deadline () =
 
 module Net = Lamp_faults.Net
 
+(* A listener that never accepts: the kernel completes each connect
+   from its backlog, and nobody ever reads or answers. *)
+let with_mute_listener f =
+  incr sock_counter;
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "lamp_serve_%d_%d.sock" (Unix.getpid ()) !sock_counter)
+  in
+  let srv = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close srv with Unix.Unix_error _ -> ());
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.bind srv (ADDR_UNIX path);
+      Unix.listen srv 4;
+      f path)
+
+(* select(2) cannot watch a descriptor at or above FD_SETSIZE (1024).
+   With 1,100 descriptors held open, every socket opened afterwards is
+   numbered above 1023 (descriptors are allocated lowest-free): the
+   listener, the session and the client. They must still serve, and a
+   deadline must still fire as Client.Timed_out. *)
+let test_high_descriptors () =
+  let null = Unix.openfile "/dev/null" [ O_RDONLY; O_CLOEXEC ] 0 in
+  let held = ref [ null ] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !held)
+    (fun () ->
+      match
+        for _ = 1 to 1_100 do
+          held := Unix.dup ~cloexec:true null :: !held
+        done
+      with
+      | exception Unix.Unix_error (EMFILE, _, _) ->
+        print_endline
+          "skipped: the descriptor limit is below 1,100 (EMFILE), so no \
+           socket can be numbered above 1023"
+      | () ->
+        with_server `Seq (fun _ ~executor:_ ~path ->
+            with_client path (fun c ->
+                let qtext = "H(x,z) <- E(x,y), E(y,z)" in
+                let got, _ = Client.execute c ~instance:"main" (Adhoc qtext) in
+                check_bit_identical "execute above descriptor 1023"
+                  (Eval.eval (Parser.query qtext) seed_data)
+                  got));
+        with_mute_listener (fun path ->
+            let c = Client.connect_unix ~timeout_s:0.1 ~path () in
+            match Client.health c with
+            | _ -> Alcotest.fail "a mute peer cannot answer"
+            | exception Client.Timed_out _ -> ()))
+
+(* An accepted TCP socket inherits its listener's SO_RCVTIMEO, with
+   which the acceptors wake to look for [stop]. A session and a proxy
+   relay idle past it keep serving: the inherited timeout is not a
+   deadline. *)
+let test_tcp_idle_past_accept_timeout () =
+  let executor = Executor.sequential in
+  let server = Server.create ~executor () in
+  Server.add_instance server ~name:"main" seed_data;
+  let port = Server.listen_tcp server ~port:0 in
+  let proxy =
+    Net.Proxy.start ~plan:Net.none
+      ~listen:(ADDR_INET (Unix.inet_addr_loopback, 0))
+      ~upstream:(ADDR_INET (Unix.inet_addr_loopback, port))
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Net.Proxy.stop proxy;
+      Server.stop server)
+    (fun () ->
+      let proxy_port =
+        match Net.Proxy.addr proxy with
+        | ADDR_INET (_, p) -> p
+        | ADDR_UNIX _ -> assert false
+      in
+      List.iter
+        (fun port ->
+          let c = Client.connect_tcp ~port () in
+          Fun.protect
+            ~finally:(fun () -> Client.close c)
+            (fun () ->
+              Alcotest.(check bool) "healthy" true (Client.health c);
+              Thread.delay 0.5;
+              Alcotest.(check bool) "healthy after idling" true
+                (Client.health c)))
+        [ port; proxy_port ])
+
+(* A request larger than the socket buffers, to a peer that never
+   reads: the write deadline ends the blocked write(2) itself. *)
+let test_ingest_write_deadline () =
+  with_mute_listener (fun path ->
+      let c = Client.connect_unix ~timeout_s:0.5 ~path () in
+      (* 20,000 facts of about 100 bytes: a 2 MB frame. *)
+      let facts =
+        List.init 20_000 (fun i ->
+            Fact.of_list "B" [ Value.int i; Value.str (String.make 96 'z') ])
+      in
+      let t0 = Unix.gettimeofday () in
+      (match Client.ingest c ~instance:"main" facts with
+      | _ -> Alcotest.fail "a peer that never reads cannot take 2 MB"
+      | exception Client.Timed_out _ -> ());
+      Alcotest.(check bool) "timed out within 2 s" true
+        (Unix.gettimeofday () -. t0 < 2.0))
+
 let test_chaos_proxy_resilient () =
   (* The headline robustness property, in miniature: a client talking
      through a hostile proxy — resets, truncations, stalls, corrupted
@@ -1589,5 +1697,11 @@ let () =
             `Quick test_write_deadline;
           Alcotest.test_case "chaos proxy end-to-end" `Quick
             test_chaos_proxy_resilient;
+          Alcotest.test_case "sockets above descriptor 1023" `Quick
+            test_high_descriptors;
+          Alcotest.test_case "a blocked ingest write times out" `Quick
+            test_ingest_write_deadline;
+          Alcotest.test_case "TCP sessions idle past the accept timeout" `Quick
+            test_tcp_idle_past_accept_timeout;
         ] );
     ]
