@@ -452,47 +452,65 @@ let transfer_cmd =
   Cmd.v (Cmd.info "transfer" ~doc) Term.(const run $ query_arg $ to_arg)
 
 (* ------------------------------------------------------------------ *)
-(* hypercube                                                           *)
+(* MPC subcommands: hypercube, kst, gym, triangle                      *)
 
-let hypercube_cmd =
-  let run query inline file p seed backend domains faults_spec fault_seed
-      checkpoint resume kill_after disk_faults_spec disk_fault_seed trace
-      profile verbose =
+(* The flags every MPC subcommand shares, as one term that yields the
+   subcommand's runner: [run ~name prepare]. [prepare] parses the
+   subcommand's own arguments and returns the algorithm, which prints
+   the number it reports and returns the result, the stats and its
+   closing lines. Around it, the runner echoes the fault plan, runs the
+   algorithm as a job under --checkpoint on the chosen backend, and
+   prints the result, the stats and (with -v) the per-round loads. *)
+let mpc_runner =
+  let run inline file p backend domains faults_spec fault_seed checkpoint
+      resume kill_after disk_faults_spec disk_fault_seed trace profile verbose
+      ~name prepare =
     wrap (fun () ->
         with_obs trace profile (fun () ->
-            let q = Cq.Parser.query query in
+            let algo = prepare () in
             let i = load_instance inline file in
             let faults = parse_faults faults_spec fault_seed in
             if not (Faults.Plan.is_none faults) then
               Fmt.pr "faults: %a@." Faults.Plan.pp faults;
-            with_job ~name:"hypercube"
+            with_job ~name
               ~disk_faults:(parse_disk_faults disk_faults_spec disk_fault_seed)
-              checkpoint resume kill_after
-              (fun job ->
-                let result, stats, shares =
+              checkpoint resume kill_after (fun job ->
+                let result, stats, closing =
                   with_executor backend domains (fun executor ->
-                      Mpc.Hypercube.run ~seed ~executor ~faults ?job ~p q i)
+                      algo ~executor ~faults ~job ~p i)
                 in
-                Fmt.pr "shares: %a@."
-                  Fmt.(list ~sep:(any ", ") (pair ~sep:(any "=") string int))
-                  shares;
                 Fmt.pr "result: %a@." Relational.Instance.pp result;
                 Fmt.pr "stats:  %a@." Mpc.Stats.pp stats;
                 if verbose then Fmt.pr "%a" Mpc.Stats.pp_rounds stats;
-                Fmt.pr "tau* = %.3f, load exponent eps = %.3f@."
-                  (Cq.Hypergraph.tau_star q)
-                  (Mpc.Stats.epsilon ~m:(Relational.Instance.cardinal i) stats))))
+                closing ())))
+  in
+  Term.(
+    const run $ instance_arg $ instance_file_arg $ p_arg $ backend_arg
+    $ domains_arg $ faults_arg $ fault_seed_arg $ checkpoint_arg $ resume_arg
+    $ kill_after_arg $ disk_faults_arg $ disk_fault_seed_arg $ trace_arg
+    $ profile_arg $ verbose_arg)
+
+let hypercube_cmd =
+  let run query seed run_mpc =
+    run_mpc ~name:"hypercube" (fun () ->
+        let q = Cq.Parser.query query in
+        fun ~executor ~faults ~job ~p i ->
+          let result, stats, shares =
+            Mpc.Hypercube.run ~seed ~executor ~faults ?job ~p q i
+          in
+          Fmt.pr "shares: %a@."
+            Fmt.(list ~sep:(any ", ") (pair ~sep:(any "=") string int))
+            shares;
+          ( result,
+            stats,
+            fun () ->
+              Fmt.pr "tau* = %.3f, load exponent eps = %.3f@."
+                (Cq.Hypergraph.tau_star q)
+                (Mpc.Stats.epsilon ~m:(Relational.Instance.cardinal i) stats) ))
   in
   let doc = "Run the one-round HyperCube algorithm and report loads." in
   Cmd.v (Cmd.info "hypercube" ~doc)
-    Term.(
-      const run $ query_arg $ instance_arg $ instance_file_arg $ p_arg
-      $ seed_arg $ backend_arg $ domains_arg $ faults_arg $ fault_seed_arg
-      $ checkpoint_arg $ resume_arg $ kill_after_arg $ disk_faults_arg
-      $ disk_fault_seed_arg $ trace_arg $ profile_arg $ verbose_arg)
-
-(* ------------------------------------------------------------------ *)
-(* kst                                                                 *)
+    Term.(const run $ query_arg $ seed_arg $ mpc_runner)
 
 let kst_cmd =
   let threshold_arg =
@@ -502,28 +520,15 @@ let kst_cmd =
     in
     Arg.(value & opt (some int) None & info [ "threshold" ] ~docv:"N" ~doc)
   in
-  let run query inline file p seed threshold backend domains faults_spec
-      fault_seed checkpoint resume kill_after disk_faults_spec disk_fault_seed
-      trace profile verbose =
-    wrap (fun () ->
-        with_obs trace profile (fun () ->
-            let q = Cq.Parser.query query in
-            let i = load_instance inline file in
-            let faults = parse_faults faults_spec fault_seed in
-            if not (Faults.Plan.is_none faults) then
-              Fmt.pr "faults: %a@." Faults.Plan.pp faults;
-            with_job ~name:"kst"
-              ~disk_faults:(parse_disk_faults disk_faults_spec disk_fault_seed)
-              checkpoint resume kill_after (fun job ->
-                let result, stats, combos =
-                  with_executor backend domains (fun executor ->
-                      Mpc.Kst.run ~seed ?threshold ~executor ~faults ?job ~p
-                        q i)
-                in
-                Fmt.pr "heavy configurations: %d@." combos;
-                Fmt.pr "result: %a@." Relational.Instance.pp result;
-                Fmt.pr "stats:  %a@." Mpc.Stats.pp stats;
-                if verbose then Fmt.pr "%a" Mpc.Stats.pp_rounds stats)))
+  let run query seed threshold run_mpc =
+    run_mpc ~name:"kst" (fun () ->
+        let q = Cq.Parser.query query in
+        fun ~executor ~faults ~job ~p i ->
+          let result, stats, combos =
+            Mpc.Kst.run ~seed ?threshold ~executor ~faults ?job ~p q i
+          in
+          Fmt.pr "heavy configurations: %d@." combos;
+          (result, stats, ignore))
   in
   let doc =
     "Run the KST-style near-optimal multi-round schedule: heavy/light \
@@ -531,51 +536,24 @@ let kst_cmd =
      worst-case-optimal local evaluation."
   in
   Cmd.v (Cmd.info "kst" ~doc)
-    Term.(
-      const run $ query_arg $ instance_arg $ instance_file_arg $ p_arg
-      $ seed_arg $ threshold_arg $ backend_arg $ domains_arg $ faults_arg
-      $ fault_seed_arg $ checkpoint_arg $ resume_arg $ kill_after_arg
-      $ disk_faults_arg $ disk_fault_seed_arg $ trace_arg $ profile_arg
-      $ verbose_arg)
-
-(* ------------------------------------------------------------------ *)
-(* gym                                                                 *)
+    Term.(const run $ query_arg $ seed_arg $ threshold_arg $ mpc_runner)
 
 let gym_cmd =
-  let run query inline file p backend domains faults_spec fault_seed checkpoint
-      resume kill_after disk_faults_spec disk_fault_seed trace profile verbose =
-    wrap (fun () ->
-        with_obs trace profile (fun () ->
-            let q = Cq.Parser.query query in
-            let i = load_instance inline file in
-            let faults = parse_faults faults_spec fault_seed in
-            if not (Faults.Plan.is_none faults) then
-              Fmt.pr "faults: %a@." Faults.Plan.pp faults;
-            with_job ~name:"gym"
-              ~disk_faults:(parse_disk_faults disk_faults_spec disk_fault_seed)
-              checkpoint resume kill_after (fun job ->
-                let result, stats, width =
-                  with_executor backend domains (fun executor ->
-                      Mpc.Gym_ghd.run ~executor ~faults ?job ~p q i)
-                in
-                Fmt.pr "decomposition width: %d bag atoms@." width;
-                Fmt.pr "result: %a@." Relational.Instance.pp result;
-                Fmt.pr "stats:  %a@." Mpc.Stats.pp stats;
-                if verbose then Fmt.pr "%a" Mpc.Stats.pp_rounds stats)))
+  let run query run_mpc =
+    run_mpc ~name:"gym" (fun () ->
+        let q = Cq.Parser.query query in
+        fun ~executor ~faults ~job ~p i ->
+          let result, stats, width =
+            Mpc.Gym_ghd.run ~executor ~faults ?job ~p q i
+          in
+          Fmt.pr "decomposition width: %d bag atoms@." width;
+          (result, stats, ignore))
   in
   let doc =
     "Run GYM (Yannakakis in MPC over a tree decomposition; handles cyclic \
      queries)."
   in
-  Cmd.v (Cmd.info "gym" ~doc)
-    Term.(
-      const run $ query_arg $ instance_arg $ instance_file_arg $ p_arg
-      $ backend_arg $ domains_arg $ faults_arg $ fault_seed_arg
-      $ checkpoint_arg $ resume_arg $ kill_after_arg $ disk_faults_arg
-      $ disk_fault_seed_arg $ trace_arg $ profile_arg $ verbose_arg)
-
-(* ------------------------------------------------------------------ *)
-(* triangle                                                            *)
+  Cmd.v (Cmd.info "gym" ~doc) Term.(const run $ query_arg $ mpc_runner)
 
 let triangle_cmd =
   let algo_arg =
@@ -587,49 +565,30 @@ let triangle_cmd =
     in
     Arg.(value & opt string "cascade" & info [ "algo" ] ~docv:"ALGO" ~doc)
   in
-  let run algo inline file p seed backend domains faults_spec fault_seed
-      checkpoint resume kill_after disk_faults_spec disk_fault_seed trace
-      profile verbose =
-    wrap (fun () ->
-        with_obs trace profile (fun () ->
-            let i = load_instance inline file in
-            let faults = parse_faults faults_spec fault_seed in
-            if not (Faults.Plan.is_none faults) then
-              Fmt.pr "faults: %a@." Faults.Plan.pp faults;
-            with_job ~name:"triangle"
-              ~disk_faults:(parse_disk_faults disk_faults_spec disk_fault_seed)
-              checkpoint resume kill_after (fun job ->
-                let result, stats =
-                  with_executor backend domains (fun executor ->
-                      match algo with
-                      | "cascade" ->
-                        Mpc.Multi_round.cascade_triangle ~seed ~executor
-                          ~faults ?job ~p i
-                      | "skew" ->
-                        let result, stats, heavy =
-                          Mpc.Multi_round.skew_resilient_triangle ~seed
-                            ~executor ~faults ?job ~p i
-                        in
-                        Fmt.pr "heavy hitters: %d@." heavy;
-                        (result, stats)
-                      | other ->
-                        invalid_arg
-                          (Fmt.str "unknown algo %S (cascade or skew)" other))
-                in
-                Fmt.pr "result: %a@." Relational.Instance.pp result;
-                Fmt.pr "stats:  %a@." Mpc.Stats.pp stats;
-                if verbose then Fmt.pr "%a" Mpc.Stats.pp_rounds stats)))
+  let run algo seed run_mpc =
+    run_mpc ~name:"triangle" (fun () ~executor ~faults ~job ~p i ->
+        match algo with
+        | "cascade" ->
+          let result, stats =
+            Mpc.Multi_round.cascade_triangle ~seed ~executor ~faults ?job ~p i
+          in
+          (result, stats, ignore)
+        | "skew" ->
+          let result, stats, heavy =
+            Mpc.Multi_round.skew_resilient_triangle ~seed ~executor ~faults
+              ?job ~p i
+          in
+          Fmt.pr "heavy hitters: %d@." heavy;
+          (result, stats, ignore)
+        | other ->
+          invalid_arg (Fmt.str "unknown algo %S (cascade or skew)" other))
   in
   let doc =
     "Run a multi-round triangle plan (H(x,y,z) <- R(x,y), S(y,z), T(z,x)) \
      over an instance with relations R, S and T."
   in
   Cmd.v (Cmd.info "triangle" ~doc)
-    Term.(
-      const run $ algo_arg $ instance_arg $ instance_file_arg $ p_arg
-      $ seed_arg $ backend_arg $ domains_arg $ faults_arg $ fault_seed_arg
-      $ checkpoint_arg $ resume_arg $ kill_after_arg $ disk_faults_arg
-      $ disk_fault_seed_arg $ trace_arg $ profile_arg $ verbose_arg)
+    Term.(const run $ algo_arg $ seed_arg $ mpc_runner)
 
 (* ------------------------------------------------------------------ *)
 (* calm                                                                *)

@@ -49,9 +49,17 @@ let w_fact b f =
   w_string b (Fact.rel f);
   w_array b w_value (Fact.args f)
 
-(* [Instance.facts] enumerates the underlying sorted sets, so equal
+(* Relation by relation, in [Instance.relations] order: the name once,
+   then the tuple count and the tuples in set order — so equal
    instances yield byte-identical encodings. *)
-let w_instance b inst = w_list b w_fact (Instance.facts inst)
+let w_instance b inst =
+  w_list b
+    (fun b rel ->
+      let tuples = Instance.tuples inst rel in
+      w_string b rel;
+      w_int b (Tuple.Set.cardinal tuples);
+      Tuple.Set.iter (fun args -> w_array b w_value args) tuples)
+    (Instance.relations inst)
 
 (* Reading *)
 
@@ -134,7 +142,14 @@ let r_fact r =
   let rel = r_string r in
   Fact.make rel (r_array r r_value)
 
-let r_instance r = Instance.of_facts (r_list r r_fact)
+let r_instance r =
+  List.fold_left
+    (fun inst (rel, tuples) ->
+      Instance.add_tuple_set rel (Tuple.Set.of_list tuples) inst)
+    Instance.empty
+    (r_list r (fun r ->
+         let rel = r_string r in
+         (rel, r_list r (fun r -> r_array r r_value))))
 
 let r_end r =
   if r.pos <> String.length r.buf then

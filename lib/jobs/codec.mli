@@ -36,8 +36,9 @@ val w_value : w -> Lamp_relational.Value.t -> unit
 val w_fact : w -> Lamp_relational.Fact.t -> unit
 
 val w_instance : w -> Lamp_relational.Instance.t -> unit
-(** Facts in canonical (sorted-set) order: equal instances encode to
-    equal bytes. *)
+(** Relation by relation in sorted name order: each relation's name
+    once, then its tuple count and its tuples in sorted-set order.
+    Equal instances encode to equal bytes. *)
 
 (** {1 Reading} *)
 

@@ -22,36 +22,28 @@ type round = {
 
 let check_p p = if p < 1 then invalid_arg "Cluster: p must be >= 1"
 
-let create_with ?(executor = Executor.sequential) ?(faults = Plan.none) locals =
-  check_p (Array.length locals);
-  let initial_max =
-    Array.fold_left (fun acc i -> max acc (Instance.cardinal i)) 0 locals
-  in
-  let initial_total =
-    Array.fold_left (fun acc i -> acc + Instance.cardinal i) 0 locals
-  in
-  {
-    p = Array.length locals;
-    executor;
-    faults;
-    locals = Array.copy locals;
-    round_stats = [];
-    recoveries = [];
-    initial_max;
-    initial_total;
-  }
-
 (* Round-robin partitioning: every server receives ⌈m/p⌉ or ⌊m/p⌋ facts,
    the model's "1/p-th of the data" assumption. *)
-let create ?executor ?faults ~p instance =
+let create ?(executor = Executor.sequential) ?(faults = Plan.none) ~p instance =
   check_p p;
   let dealt = Array.make p [] in
   List.iteri (fun k f -> dealt.(k mod p) <- f :: dealt.(k mod p)) (Instance.facts instance);
-  create_with ?executor ?faults (Array.map Instance.of_facts dealt)
+  let locals = Array.map Instance.of_facts dealt in
+  let sum f =
+    Array.fold_left (fun acc i -> f acc (Instance.cardinal i)) 0 locals
+  in
+  {
+    p;
+    executor;
+    faults;
+    locals;
+    round_stats = [];
+    recoveries = [];
+    initial_max = sum max;
+    initial_total = sum ( + );
+  }
 
 let p t = t.p
-let executor t = t.executor
-let faults t = t.faults
 let locals t = Array.copy t.locals
 let local t i = t.locals.(i)
 
@@ -574,23 +566,12 @@ let restore ?(executor = Executor.sequential) ?(faults = Plan.none) raw =
     initial_total;
   }
 
-let add_recovery t recovery = t.recoveries <- recovery :: t.recoveries
-
-(* Survivor rebalancing after a permanent crash-stop: the dead
-   server's checkpointed local is rehashed (by Fact.hash, the policy
-   remapping) onto the p−1 survivors; servers above it shift down one
-   slot. Every fact shipped is charged to Stats.recoveries as replay
-   traffic. The caller is responsible for only doing this to
-   computations whose remaining rounds are correct under the new
-   topology (they rehash from scratch each round — coordination-free
-   in the CALM sense); cross-round rendezvous algorithms must restart
-   instead. *)
-let shrink t ~round ~dead =
-  if t.p <= 1 then invalid_arg "Cluster.shrink: cannot shrink below 1 server";
-  if dead < 0 || dead >= t.p then
-    invalid_arg
-      (Fmt.str "Cluster.shrink: dead server %d out of range for p = %d" dead
-         t.p);
+(* Survivor rebalancing after a permanent crash-stop of server [dead]:
+   the survivors keep their locals (servers above [dead] shift down one
+   slot) and the dead server's checkpointed local is rehashed onto them
+   by [Fact.hash]. Only correct when every remaining round rehashes
+   from scratch — coordination-free in the CALM sense. *)
+let shrink t ~dead =
   let p' = t.p - 1 in
   let survivors =
     Array.init p' (fun i -> if i < dead then t.locals.(i) else t.locals.(i + 1))
@@ -601,47 +582,92 @@ let shrink t ~round ~dead =
       let d = Fact.hash f mod p' in
       orphans.(d) <- f :: orphans.(d))
     t.locals.(dead);
-  let shipped = Instance.cardinal t.locals.(dead) in
   Array.iteri
     (fun i fs ->
       if fs <> [] then
         survivors.(i) <- Instance.union survivors.(i) (Instance.of_facts fs))
     orphans;
-  {
-    t with
-    p = p';
-    locals = survivors;
-    recoveries =
-      {
-        Stats.round;
-        crashed = 1;
-        replayed = shipped;
-        retransmitted = 0;
-        duplicates = 0;
-        retries = 0;
-        speculated = 0;
-      }
-      :: t.recoveries;
-  }
+  { t with p = p'; locals = survivors }
 
-(* Drive a job script: inline (zero cost) without a supervisor,
-   checkpointed under it. The supervisor's fingerprint is derived here
-   from the algorithm name and the fault plan, so a resume under a
-   different plan (different seed, different rates) is rejected
-   instead of silently mixing incompatible runs; the plan's kill and
-   perma entries are merged into the control block. *)
-let supervise ?job ~name ~faults script =
+(* The one job driver. [plan] is called once per topology, and every
+   step runs the rounds planned for the cluster's current p, so after a
+   rebalance the job runs the survivors' rounds. Without a job the
+   steps run inline; with one, the fingerprint is the name and the
+   fault plan (a resume under another plan raises), and the plan's kill
+   and perma entries are merged into the control block. *)
+let run_job ?executor ?(faults = Plan.none) ?job ~name ~on_crash ~p instance
+    plan =
   let module Supervisor = Lamp_jobs.Supervisor in
-  match job with
-  | None -> Supervisor.run_inline script
+  let plans = Hashtbl.create 2 in
+  let plan_for p =
+    match Hashtbl.find_opt plans p with
+    | Some planned -> planned
+    | None ->
+      let planned = plan ~p in
+      Hashtbl.add plans p planned;
+      planned
+  in
+  let cluster = ref (create ?executor ~faults ~p instance) in
+  let step k =
+    let rounds, _ = plan_for !cluster.p in
+    let n = Array.length rounds in
+    if k >= n then `Done
+    else begin
+      run_round !cluster rounds.(k);
+      if k = n - 1 then `Done else `Continue
+    end
+  in
+  (* A permanent crash-stop before [round]: shrink onto the survivors
+     and continue, or restart from round 0 on a fresh p−1 cluster when
+     the rounds rendezvous on a p-dependent placement. Either way the
+     dead server's facts are charged as replay traffic. *)
+  let rebalance ~round ~dead =
+    let c = !cluster in
+    if dead < 0 || dead >= c.p || c.p <= 1 then `Continue
+    else begin
+      let survivors, outcome =
+        match on_crash with
+        | `Shrink -> (shrink c ~dead, `Continue)
+        | `Restart -> (create ?executor ~faults ~p:(c.p - 1) instance, `Restart)
+      in
+      survivors.recoveries <-
+        {
+          Stats.round;
+          crashed = 1;
+          replayed = Instance.cardinal c.locals.(dead);
+          retransmitted = 0;
+          duplicates = 0;
+          retries = 0;
+          speculated = 0;
+        }
+        :: survivors.recoveries;
+      cluster := survivors;
+      outcome
+    end
+  in
+  let script =
+    {
+      Supervisor.step;
+      snapshot = (fun () -> snapshot !cluster);
+      restore = (fun ~round:_ raw -> cluster := restore ?executor ~faults raw);
+      rebalance;
+    }
+  in
+  (match job with
+  | None ->
+    if Plan.kill_after faults <> None || (Plan.spec faults).perma <> None then
+      invalid_arg
+        (Fmt.str "%s: kill= and perma= in the fault plan need a job \
+                  (--checkpoint=DIR)" name);
+    Supervisor.run_inline script
   | Some (ctl : Supervisor.t) ->
-    ctl.Supervisor.fingerprint <- Fmt.str "%s@%a" name Plan.pp faults;
-    (match (Plan.kill_after faults, ctl.Supervisor.kill_after_round) with
-    | Some k, None -> ctl.Supervisor.kill_after_round <- Some k
-    | _ -> ());
+    ctl.fingerprint <- Fmt.str "%s@%a" name Plan.pp faults;
+    if ctl.kill_after_round = None then
+      ctl.kill_after_round <- Plan.kill_after faults;
     Supervisor.run ctl
       ~perma:(fun ~round -> Plan.perma_crash faults ~round)
-      script
+      script);
+  (!cluster, snd (plan_for !cluster.p))
 
 (* Common communication phases. *)
 

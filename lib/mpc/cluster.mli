@@ -45,21 +45,7 @@ val create :
     rounds. [faults] (default {!Lamp_faults.Plan.none}) injects a
     deterministic fault plan into every round; see {!run_round}. *)
 
-val create_with :
-  ?executor:Lamp_runtime.Executor.t ->
-  ?faults:Lamp_faults.Plan.t ->
-  Instance.t array ->
-  t
-(** Start from an explicit initial partitioning (one instance per
-    server). *)
-
 val p : t -> int
-val executor : t -> Lamp_runtime.Executor.t
-
-val faults : t -> Lamp_faults.Plan.t
-(** The fault plan rounds run under ({!Lamp_faults.Plan.none} by
-    default). *)
-
 val locals : t -> Instance.t array
 val local : t -> int -> Instance.t
 
@@ -89,7 +75,7 @@ val run_round : t -> round -> unit
 
 val stats : t -> Stats.t
 
-(** {1 Job-level checkpointing} *)
+(** {1 Jobs: checkpoints and the job driver} *)
 
 val snapshot : t -> string
 (** Versioned binary snapshot (via [Lamp_jobs.Codec]) of the whole
@@ -111,34 +97,42 @@ val restore :
     stitches the checkpointed rounds with the new ones.
     @raise Lamp_jobs.Codec.Corrupt on a damaged snapshot. *)
 
-val add_recovery : t -> Stats.recovery -> unit
-(** Account an externally-performed repair (e.g. a job-level restart
-    after a permanent crash) in this cluster's [Stats.recoveries]. *)
-
-val supervise :
+val run_job :
+  ?executor:Lamp_runtime.Executor.t ->
+  ?faults:Lamp_faults.Plan.t ->
   ?job:Lamp_jobs.Supervisor.t ->
   name:string ->
-  faults:Lamp_faults.Plan.t ->
-  Lamp_jobs.Supervisor.script ->
-  unit
-(** Drive a job script. Without [job] the steps run inline with zero
-    checkpoint cost. With [job], the control block's fingerprint is set
-    to [name @ fault-plan] (so resuming under a different plan raises),
-    the plan's [kill]/[perma] entries are honoured, and
-    [Lamp_jobs.Supervisor.run] checkpoints after every step. Every
-    multi-round entry point funnels through this. *)
+  on_crash:[ `Shrink | `Restart ] ->
+  p:int ->
+  Instance.t ->
+  (p:int -> round array * 'a) ->
+  t * 'a
+(** [run_job ~name ~on_crash ~p instance plan] runs a multi-round
+    algorithm on a cluster {!create}d with [p] servers and returns the
+    final cluster with the number [plan] reports for its topology.
+    [plan ~p] gives the rounds for [p] servers and that number; it is
+    called once per p, and every step runs the rounds planned for the
+    cluster's current p.
 
-val shrink : t -> round:int -> dead:int -> t
-(** Survivor rebalancing for a permanent crash-stop of server [dead]
-    detected before (1-indexed) [round]: the surviving p−1 servers
-    keep their locals (servers above [dead] shift down one slot) and
-    the dead server's checkpointed local is rehashed onto them by
-    [Fact.hash]. Every rehashed fact is charged as replay traffic in a
-    [Stats.recovery] record for [round]. Only correct for algorithms
-    whose remaining rounds rehash from scratch (no cross-round
-    rendezvous on a p-dependent hash) — others must restart from round
-    0 on the shrunk cluster instead.
-    @raise Invalid_argument when [dead] is out of range or [p = 1]. *)
+    Without [job] the rounds run inline, at no checkpoint cost. With
+    [job] they run under {!Lamp_jobs.Supervisor.run}, checkpointed
+    through {!snapshot} after every round and resumable; the
+    fingerprint is [name @ fault-plan] (a resume under another plan
+    raises), and the plan's [kill] and [perma] entries are merged into
+    the control block. A permanent crash-stop of a server is repaired
+    by [on_crash]:
+    - [`Shrink]: the survivors keep their locals (servers above the
+      dead one shift down a slot), the dead server's checkpointed local
+      is rehashed onto them, and the job continues from the current
+      round. Only correct when every round rehashes from scratch.
+    - [`Restart]: the job restarts from round 0 on a fresh cluster of
+      p−1 servers, replanned — for rounds that meet across rounds on a
+      p-dependent placement.
+
+    Either way the final [Stats.p] is p−1 and the dead server's facts
+    are charged as replay traffic in one [crashed = 1] recovery record.
+    @raise Invalid_argument without [job] when the fault plan has a
+    [kill] or [perma] entry — both need a job. *)
 
 (** {1 Phase combinators} *)
 

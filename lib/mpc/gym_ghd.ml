@@ -87,8 +87,7 @@ let hypercube_round ~seed ~p instance bags =
           Instance.empty cubes);
   }
 
-let run ?(seed = 0) ?decomposition ?executor ?(faults = Lamp_faults.Plan.none)
-    ?job ~p q instance =
+let run ?(seed = 0) ?decomposition ?executor ?faults ?job ~p q instance =
   if not (Ast.is_positive q) then
     invalid_arg "Gym_ghd.run: defined for positive CQs";
   let decomposition =
@@ -117,29 +116,16 @@ let run ?(seed = 0) ?decomposition ?executor ?(faults = Lamp_faults.Plan.none)
   let forest = List.map pseudo_tree decomposition in
   let bags = Array.of_list (List.rev !bags) in
   let gym = Yannakakis.plan ~seed forest in
-  (* The slices and shares depend on p, so the rounds are planned per
-     topology (memoized: a restart replans for the survivors). *)
-  let plans = Hashtbl.create 2 in
-  let rounds_for ~p =
-    match Hashtbl.find_opt plans p with
-    | Some rounds -> rounds
-    | None ->
-      let rounds =
-        Array.append
-          [| hypercube_round ~seed ~p instance bags |]
-          (Yannakakis.rounds gym ~p)
-      in
-      Hashtbl.add plans p rounds;
-      rounds
+  (* Both the slices and GYM's hashing are functions of p: a permanent
+     crash restarts the job on the survivors. *)
+  let cluster, () =
+    Cluster.run_job ?executor ?faults ?job ~name:"gym_ghd" ~on_crash:`Restart
+      ~p instance (fun ~p ->
+        ( Array.append
+            [| hypercube_round ~seed ~p instance bags |]
+            (Yannakakis.rounds gym ~p),
+          () ))
   in
-  let cluster = ref (Cluster.create ?executor ~faults ~p instance) in
-  Cluster.supervise ?job ~name:"gym_ghd" ~faults
-    (Multi_round.cluster_script ?executor ~faults cluster ~rounds_for
-       ~rebalance:(fun ~round ~dead ->
-         (* Both the slices and GYM's hashing are functions of p: losing
-            a server restarts the job on the survivors. *)
-         Multi_round.rebalance_restart ?executor ~faults instance cluster
-           ~round ~dead));
-  ( Yannakakis.output gym (Ast.head q) !cluster,
-    Cluster.stats !cluster,
+  ( Yannakakis.output gym (Ast.head q) cluster,
+    Cluster.stats cluster,
     Decomposition.width decomposition )

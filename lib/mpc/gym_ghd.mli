@@ -29,11 +29,11 @@ val run :
     queries use their GYO forest (one atom per bag) and cyclic queries
     the min-fill heuristic.
 
-    With [job], each round is one supervised, checkpointed step, so a
-    kill after round 1 resumes with the bag results on their servers,
-    without re-running any HyperCube join. The slices and GYM's hashing
-    are functions of p, so a permanent crash-stop restarts the job from
-    round 0 on the p−1 survivors
-    ({!Multi_round.rebalance_restart}).
+    With [job], each round is one supervised, checkpointed step of
+    {!Cluster.run_job}, so a kill after round 1 resumes with the bag
+    results on their servers, without re-running any HyperCube join.
+    The slices and GYM's hashing are functions of p, so a permanent
+    crash-stop restarts the job from round 0 on the p−1 survivors
+    ([`Restart]).
     @raise Invalid_argument on non-positive queries or an invalid
     decomposition. *)

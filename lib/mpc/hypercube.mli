@@ -29,9 +29,12 @@ val run :
     on skewed inputs use it to avoid materializing quadratic outputs,
     since the load is determined entirely by the communication phase.
 
-    With [job], the single round runs as a supervised job (checkpoint
-    before and after; [kill=0] dies holding only the initial state). A
-    permanent crash-stop restarts on the p−1 survivors with shares
-    re-optimized for the shrunk grid — the grid is a function of p, so
-    the caller's explicit shares cannot outlive the crash.
+    With [job], the single round runs under {!Cluster.run_job} with
+    [`Restart] (checkpoint after the round; [kill=0] dies holding only
+    the initial state). A permanent crash-stop restarts on the
+    survivors, one server fewer than the grid, with shares
+    re-optimized for them — the grid is a function of p, so the
+    caller's explicit shares cannot outlive the crash. The final
+    [Stats.p] is the survivor count and the shares returned are the
+    re-optimized ones; their grid may leave some survivors idle.
     @raise Invalid_argument on non-positive queries. *)

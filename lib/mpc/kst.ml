@@ -3,7 +3,6 @@ open Lamp_distribution
 open Lamp_cq
 
 let h ~seed ~p v = Policy.hash_value ~seed ~buckets:p v
-let plan_of = function Some f -> f | None -> Lamp_faults.Plan.none
 
 (* A server keeps its query-relevant facts for round 2 in its local
    state, renamed with this prefix, beside its round-1 answers: round 2
@@ -134,242 +133,227 @@ let run ?(seed = 0) ?threshold ?executor ?faults ?job ~p query instance =
     match Value.Map.find_opt c map with Some d -> d | None -> 0
   in
   let sizes a = Tuple.Set.cardinal (Instance.tuples instance a.Ast.rel) in
-  let combos_count = ref 0 in
   (* The whole plan — threshold, heavy-hitter sets, the configuration
-     list and every subgrid — depends on p, so it is rebuilt (memoized)
-     per topology: a restart after rebalancing replans for the
-     survivor count. *)
-  let plans = Hashtbl.create 2 in
-  let rounds_for ~p =
-    match Hashtbl.find_opt plans p with
-    | Some rounds -> rounds
-    | None ->
-      (* Doubling the degree threshold until the configuration count
-         fits the cap bounds the replication of all-light atoms into
-         the subgrids; values pushed back under the threshold fall
-         through to the one-round light plan, which is always sound. *)
-      let cap = max 8 (2 * int_of_float (sqrt (float_of_int p))) in
-      let rec settle threshold =
-        let heavy =
-          List.map
-            (fun v ->
-              ( v,
-                List.fold_left
-                  (fun acc (rel, pos) ->
-                    Value.Set.union acc
-                      (Skew.heavy_hitters instance ~rel ~pos ~threshold))
-                  Value.Set.empty (occurrences v) ))
-            vars
-        in
-        let hvars =
-          List.filter (fun (_, s) -> not (Value.Set.is_empty s)) heavy
-        in
-        let hv = Array.of_list hvars in
-        let nh = Array.length hv in
-        let configs = ref [] in
-        for mask = 1 to (1 lsl nh) - 1 do
-          let sel = ref [] in
-          for i = nh - 1 downto 0 do
-            if mask land (1 lsl i) <> 0 then
-              sel :=
-                (fst hv.(i), Value.Set.elements (snd hv.(i))) :: !sel
-          done;
-          let rec prod acc = function
-            | [] -> configs := List.rev acc :: !configs
-            | (v, values) :: rest ->
-              List.iter (fun x -> prod ((v, x) :: acc) rest) values
-          in
-          prod [] !sel
-        done;
-        let configs = List.rev !configs in
-        if List.length configs > cap && threshold < m then
-          settle (threshold * 2)
-        else (heavy, configs)
-      in
-      let threshold0 =
-        match threshold with
-        | Some t -> max 1 t
-        | None -> Skew.default_threshold ~m ~p
-      in
-      let heavy, configs = settle threshold0 in
-      let heavy_of v =
-        match List.assoc_opt v heavy with
-        | Some s -> s
-        | None -> Value.Set.empty
-      in
-      let ncombos = List.length configs in
-      combos_count := ncombos;
-      let p_res = max 1 (p / max 1 ncombos) in
-      (* Subgrid shares of one configuration: HyperCube over the
-         residual query (heavy variables frozen to their values), with
-         sizes estimated from column degrees. *)
-      let dims_of config =
-        let svars = List.map fst config in
-        let l = List.filter (fun v -> not (List.mem v svars)) vars in
-        if l = [] then [||]
-        else begin
-          let subst = function
-            | Ast.Var v as t -> (
-              match List.assoc_opt v config with
-              | Some x -> Ast.Const x
-              | None -> t)
-            | t -> t
-          in
-          let body =
-            List.map
-              (fun a -> Ast.atom a.Ast.rel (List.map subst a.Ast.terms))
-              atoms
-          in
-          let head = Ast.atom "Hres" (List.map (fun v -> Ast.Var v) l) in
-          let rq = Ast.make ~head ~body () in
-          let rsizes a =
-            let consts =
-              List.mapi (fun i t -> (i, t)) a.Ast.terms
-              |> List.filter_map (fun (i, t) ->
-                     match t with Ast.Const c -> Some (i, c) | _ -> None)
-            in
-            match consts with
-            | [] -> sizes a
-            | cs ->
+     list and every subgrid — depends on p. *)
+  let plan ~p =
+    (* Doubling the degree threshold until the configuration count
+       fits the cap bounds the replication of all-light atoms into
+       the subgrids; values pushed back under the threshold fall
+       through to the one-round light plan, which is always sound. *)
+    let cap = max 8 (2 * int_of_float (sqrt (float_of_int p))) in
+    let rec settle threshold =
+      let heavy =
+        List.map
+          (fun v ->
+            ( v,
               List.fold_left
-                (fun acc (i, c) -> min acc (degree a.Ast.rel i c))
-                max_int cs
+                (fun acc (rel, pos) ->
+                  Value.Set.union acc
+                    (Skew.heavy_hitters instance ~rel ~pos ~threshold))
+                Value.Set.empty (occurrences v) ))
+          vars
+      in
+      let hvars =
+        List.filter (fun (_, s) -> not (Value.Set.is_empty s)) heavy
+      in
+      let hv = Array.of_list hvars in
+      let nh = Array.length hv in
+      let configs = ref [] in
+      for mask = 1 to (1 lsl nh) - 1 do
+        let sel = ref [] in
+        for i = nh - 1 downto 0 do
+          if mask land (1 lsl i) <> 0 then
+            sel :=
+              (fst hv.(i), Value.Set.elements (snd hv.(i))) :: !sel
+        done;
+        let rec prod acc = function
+          | [] -> configs := List.rev acc :: !configs
+          | (v, values) :: rest ->
+            List.iter (fun x -> prod ((v, x) :: acc) rest) values
+        in
+        prod [] !sel
+      done;
+      let configs = List.rev !configs in
+      if List.length configs > cap && threshold < m then
+        settle (threshold * 2)
+      else (heavy, configs)
+    in
+    let threshold0 =
+      match threshold with
+      | Some t -> max 1 t
+      | None -> Skew.default_threshold ~m ~p
+    in
+    let heavy, configs = settle threshold0 in
+    let heavy_of v =
+      match List.assoc_opt v heavy with
+      | Some s -> s
+      | None -> Value.Set.empty
+    in
+    let ncombos = List.length configs in
+    let p_res = max 1 (p / max 1 ncombos) in
+    (* Subgrid shares of one configuration: HyperCube over the
+       residual query (heavy variables frozen to their values), with
+       sizes estimated from column degrees. *)
+    let dims_of config =
+      let svars = List.map fst config in
+      let l = List.filter (fun v -> not (List.mem v svars)) vars in
+      if l = [] then [||]
+      else begin
+        let subst = function
+          | Ast.Var v as t -> (
+            match List.assoc_opt v config with
+            | Some x -> Ast.Const x
+            | None -> t)
+          | t -> t
+        in
+        let body =
+          List.map
+            (fun a -> Ast.atom a.Ast.rel (List.map subst a.Ast.terms))
+            atoms
+        in
+        let head = Ast.atom "Hres" (List.map (fun v -> Ast.Var v) l) in
+        let rq = Ast.make ~head ~body () in
+        let rsizes a =
+          let consts =
+            List.mapi (fun i t -> (i, t)) a.Ast.terms
+            |> List.filter_map (fun (i, t) ->
+                   match t with Ast.Const c -> Some (i, c) | _ -> None)
           in
-          let shares, _ =
-            Shares.optimize ~objective:Shares.Max_load ~p:p_res ~sizes:rsizes
-              rq
-          in
-          Array.of_list
-            (List.map
-               (fun v ->
-                 ( v,
-                   match List.assoc_opt v shares with
-                   | Some s -> max 1 s
-                   | None -> 1 ))
-               l)
-        end
-      in
-      let combos, _ =
-        List.fold_left
-          (fun (acc, off) config ->
-            let dims = dims_of config in
-            let size = Array.fold_left (fun g (_, s) -> g * s) 1 dims in
-            ( { c_heavy = config; c_dims = dims; c_offset = off mod p } :: acc,
-              off + size ))
-          ([], 0) configs
-      in
-      let combos = List.rev combos in
-      let shares, _ = Shares.optimize ~objective:Shares.Max_load ~p ~sizes query in
-      let policy, _ =
-        Policy.hypercube ~seed ~name:"kst-light" ~query ~shares ()
-      in
-      let atoms_of rel = List.filter (fun a -> String.equal a.Ast.rel rel) atoms in
-      (* Variable bindings of every atom the fact can instantiate; empty
-         for facts the query ignores. *)
-      let roles f =
-        let args = Fact.args f in
-        List.filter_map
-          (fun a -> if compatible a args then Some (bindings a args) else None)
-          (atoms_of (Fact.rel f))
-      in
-      let light_binding b =
-        List.for_all (fun (v, x) -> not (Value.Set.mem x (heavy_of v))) b
-      in
-      let evaluate received = Eval.eval ~strategy:Eval.Wcoj query received in
-      (* Round 1: light roles run the one-round HyperCube. A server's
-         own query-relevant facts stay where they are, under a staged
-         name, for round 2 to route — local state, not messages. *)
-      let light_round =
-        {
-          Cluster.communicate =
-            (fun _ local ->
-              Instance.fold
-                (fun f acc ->
-                  if List.exists light_binding (roles f) then
-                    List.fold_left
-                      (fun acc dst -> (dst, f) :: acc)
-                      acc
-                      (Policy.responsible_nodes policy f)
-                  else acc)
-                local []);
-          compute =
-            (fun _ ~received ~previous ->
-              if ncombos = 0 then evaluate received
-              else
-                List.fold_left
-                  (fun acc rel ->
-                    let atoms = atoms_of rel in
-                    Instance.add_tuple_set (stage rel)
-                      (Tuple.Set.filter
-                         (fun args ->
-                           List.exists (fun a -> compatible a args) atoms)
-                         (Instance.tuples previous rel))
-                      acc)
-                  (evaluate received) (Instance.relations previous));
-        }
-      in
-      (* Round 2: staged tuples fan out to every configuration whose
-         heavy assignment matches one of their atom roles, pinned by the
-         light coordinates; round-1 answers stay in [previous]. *)
-      let heavy_round =
-        {
-          Cluster.communicate =
-            (fun _ local ->
-              Instance.fold
-                (fun f acc ->
-                  let rel = Fact.rel f in
-                  if is_staged rel then begin
-                    let g = Fact.make (unstage rel) (Fact.args f) in
-                    let dsts =
-                      List.concat_map
-                        (fun b ->
-                          let hsig =
-                            List.filter
-                              (fun (v, x) -> Value.Set.mem x (heavy_of v))
-                              b
-                          in
-                          List.concat_map
-                            (fun c ->
-                              if combo_matches c b hsig then cells ~seed ~p c b
-                              else [])
-                            combos)
-                        (roles g)
-                    in
-                    List.fold_left
-                      (fun acc dst -> (dst, g) :: acc)
-                      acc
-                      (List.sort_uniq compare dsts)
-                  end
-                  else acc)
-                local []);
-          compute =
-            (fun _ ~received ~previous ->
-              Instance.union
-                (Instance.filter
-                   (fun f -> not (is_staged (Fact.rel f)))
-                   previous)
-                (evaluate received));
-        }
-      in
-      (* Without a heavy configuration nothing is staged and the plan is
-         the one-round HyperCube. *)
-      let rounds =
-        if ncombos = 0 then [| light_round |]
-        else [| light_round; heavy_round |]
-      in
-      Hashtbl.add plans p rounds;
-      rounds
+          match consts with
+          | [] -> sizes a
+          | cs ->
+            List.fold_left
+              (fun acc (i, c) -> min acc (degree a.Ast.rel i c))
+              max_int cs
+        in
+        let shares, _ =
+          Shares.optimize ~objective:Shares.Max_load ~p:p_res ~sizes:rsizes
+            rq
+        in
+        Array.of_list
+          (List.map
+             (fun v ->
+               ( v,
+                 match List.assoc_opt v shares with
+                 | Some s -> max 1 s
+                 | None -> 1 ))
+             l)
+      end
+    in
+    let combos, _ =
+      List.fold_left
+        (fun (acc, off) config ->
+          let dims = dims_of config in
+          let size = Array.fold_left (fun g (_, s) -> g * s) 1 dims in
+          ( { c_heavy = config; c_dims = dims; c_offset = off mod p } :: acc,
+            off + size ))
+        ([], 0) configs
+    in
+    let combos = List.rev combos in
+    let shares, _ = Shares.optimize ~objective:Shares.Max_load ~p ~sizes query in
+    let policy, _ =
+      Policy.hypercube ~seed ~name:"kst-light" ~query ~shares ()
+    in
+    let atoms_of rel = List.filter (fun a -> String.equal a.Ast.rel rel) atoms in
+    (* Variable bindings of every atom the fact can instantiate; empty
+       for facts the query ignores. *)
+    let roles f =
+      let args = Fact.args f in
+      List.filter_map
+        (fun a -> if compatible a args then Some (bindings a args) else None)
+        (atoms_of (Fact.rel f))
+    in
+    let light_binding b =
+      List.for_all (fun (v, x) -> not (Value.Set.mem x (heavy_of v))) b
+    in
+    let evaluate received = Eval.eval ~strategy:Eval.Wcoj query received in
+    (* Round 1: light roles run the one-round HyperCube. A server's
+       own query-relevant facts stay where they are, under a staged
+       name, for round 2 to route — local state, not messages. *)
+    let light_round =
+      {
+        Cluster.communicate =
+          (fun _ local ->
+            Instance.fold
+              (fun f acc ->
+                if List.exists light_binding (roles f) then
+                  List.fold_left
+                    (fun acc dst -> (dst, f) :: acc)
+                    acc
+                    (Policy.responsible_nodes policy f)
+                else acc)
+              local []);
+        compute =
+          (fun _ ~received ~previous ->
+            if ncombos = 0 then evaluate received
+            else
+              List.fold_left
+                (fun acc rel ->
+                  let atoms = atoms_of rel in
+                  Instance.add_tuple_set (stage rel)
+                    (Tuple.Set.filter
+                       (fun args ->
+                         List.exists (fun a -> compatible a args) atoms)
+                       (Instance.tuples previous rel))
+                    acc)
+                (evaluate received) (Instance.relations previous));
+      }
+    in
+    (* Round 2: staged tuples fan out to every configuration whose
+       heavy assignment matches one of their atom roles, pinned by the
+       light coordinates; round-1 answers stay in [previous]. *)
+    let heavy_round =
+      {
+        Cluster.communicate =
+          (fun _ local ->
+            Instance.fold
+              (fun f acc ->
+                let rel = Fact.rel f in
+                if is_staged rel then begin
+                  let g = Fact.make (unstage rel) (Fact.args f) in
+                  let dsts =
+                    List.concat_map
+                      (fun b ->
+                        let hsig =
+                          List.filter
+                            (fun (v, x) -> Value.Set.mem x (heavy_of v))
+                            b
+                        in
+                        List.concat_map
+                          (fun c ->
+                            if combo_matches c b hsig then cells ~seed ~p c b
+                            else [])
+                          combos)
+                      (roles g)
+                  in
+                  List.fold_left
+                    (fun acc dst -> (dst, g) :: acc)
+                    acc
+                    (List.sort_uniq compare dsts)
+                end
+                else acc)
+              local []);
+        compute =
+          (fun _ ~received ~previous ->
+            Instance.union
+              (Instance.filter
+                 (fun f -> not (is_staged (Fact.rel f)))
+                 previous)
+              (evaluate received));
+      }
+    in
+    (* Without a heavy configuration nothing is staged and the plan is
+       the one-round HyperCube. *)
+    ( (if ncombos = 0 then [| light_round |]
+       else [| light_round; heavy_round |]),
+      ncombos )
   in
-  let cluster = ref (Cluster.create ?executor ?faults ~p instance) in
-  Cluster.supervise ?job ~name:"kst" ~faults:(plan_of faults)
-    (Multi_round.cluster_script ?executor ?faults cluster ~rounds_for
-       ~rebalance:(fun ~round ~dead ->
-         (* Staged tuples stay at their round-1 servers and the
-            subgrid layout is a function of p — both cross-round
-            rendezvous break under a topology change, so a permanent
-            crash restarts the job from round 0 on the survivors. *)
-         Multi_round.rebalance_restart ?executor ?faults instance cluster
-           ~round ~dead));
-  (* Reflect the topology the run actually finished under. *)
-  ignore (rounds_for ~p:(Cluster.p !cluster));
-  (Cluster.union_all !cluster, Cluster.stats !cluster, !combos_count)
+  (* Staged tuples stay at their round-1 servers and the subgrid layout
+     is a function of p — both cross-round rendezvous break under a
+     topology change, so a permanent crash restarts the job from round
+     0 on the survivors. *)
+  let cluster, ncombos =
+    Cluster.run_job ?executor ?faults ?job ~name:"kst" ~on_crash:`Restart ~p
+      instance plan
+  in
+  (Cluster.union_all cluster, Cluster.stats cluster, ncombos)

@@ -56,12 +56,13 @@ val run :
     default threshold is {!Skew.default_threshold}; it doubles until the
     configuration count fits the cap.
 
-    With [job], runs under {!Cluster.supervise}: checkpointed after
-    every round and resumable. Staged tuples stay at their round-1
-    servers and the subgrid layout depends on p — cross-round
-    rendezvous a topology change breaks — so a permanent crash-stop
-    restarts the job from round 0 on the p−1 survivors, re-planned for
-    the shrunk topology.
+    With [job], runs under {!Cluster.run_job} with [`Restart]:
+    checkpointed after every round and resumable. Staged tuples stay at
+    their round-1 servers and the subgrid layout depends on p —
+    cross-round rendezvous a topology change breaks — so a permanent
+    crash-stop restarts the job from round 0 on the p−1 survivors,
+    re-planned for the shrunk topology; the configuration count
+    returned is the survivors'.
 
     @raise Invalid_argument on non-positive queries, atoms of arity
     outside [1, 2], or [p <= 0]. *)

@@ -8,45 +8,6 @@
 
 open Lamp_relational
 
-(** {1 Script plumbing}
-
-    The job skeleton every cluster-backed multi-round algorithm shares
-    (including {!Kst}): a per-topology sequence of rounds over one
-    cluster held in a ref, checkpointed through
-    {!Cluster.snapshot}/{!Cluster.restore}. *)
-
-val cluster_script :
-  ?executor:Lamp_runtime.Executor.t ->
-  ?faults:Lamp_faults.Plan.t ->
-  Cluster.t ref ->
-  rounds_for:(p:int -> Cluster.round array) ->
-  rebalance:(round:int -> dead:int -> [ `Continue | `Restart ]) ->
-  Lamp_jobs.Supervisor.script
-(** [rounds_for] is re-consulted at every step with the cluster's
-    current [p], so a rebalanced job rebuilds its remaining rounds for
-    the shrunk topology. *)
-
-val rebalance_shrink :
-  Cluster.t ref -> round:int -> dead:int -> [ `Continue | `Restart ]
-(** Survivor rebalancing for algorithms whose every round rehashes from
-    scratch: shrink p → p−1, rehash the dead server's local onto the
-    survivors, continue from the current round. *)
-
-val rebalance_restart :
-  ?executor:Lamp_runtime.Executor.t ->
-  ?faults:Lamp_faults.Plan.t ->
-  Instance.t ->
-  Cluster.t ref ->
-  round:int ->
-  dead:int ->
-  [ `Continue | `Restart ]
-(** Restart policy for algorithms that rendezvous across rounds on a
-    p-dependent hash: a topology change invalidates the parked
-    placement, so the job restarts from round 0 on a fresh p−1 cluster,
-    charging the dead server's resident facts as replay traffic. *)
-
-(** {1 The paper's two-round triangle plans} *)
-
 val cascade_triangle :
   ?seed:int ->
   ?executor:Lamp_runtime.Executor.t ->
@@ -59,10 +20,11 @@ val cascade_triangle :
     into K; round 2 repartitions K and T on the pair (z, x) and joins.
     Correct, but the load includes the intermediate |R ⋈ S|.
 
-    With [job], runs under {!Cluster.supervise}: checkpointed after
-    every round, resumable, and — because both rounds rehash from
-    scratch — a permanent crash-stop is repaired by shrinking to the
-    survivors and continuing from the last checkpoint. *)
+    With [job], runs under {!Cluster.run_job} with [`Shrink]:
+    checkpointed after every round, resumable, and — because both
+    rounds rehash from scratch — a permanent crash-stop is repaired by
+    shrinking to the survivors and continuing from the last
+    checkpoint. *)
 
 val skew_resilient_triangle :
   ?seed:int ->
@@ -81,9 +43,10 @@ val skew_resilient_triangle :
     the number of heavy hitters detected. The default threshold is
     m/p^(1/3).
 
-    With [job], runs under {!Cluster.supervise}. Heavy S parks at
-    h_p(z) in round 1 and is met there by the partial matches in round
-    2 — a cross-round rendezvous on a p-dependent hash — so a
+    With [job], runs under {!Cluster.run_job} with [`Restart]. Heavy S
+    parks at h_p(z) in round 1 and is met there by the partial matches
+    in round 2 — a cross-round rendezvous on a p-dependent hash — so a
     permanent crash-stop restarts the job from round 0 on the p−1
-    survivors (with threshold, heavy hitters and shares re-planned for
+    survivors, and the heavy-hitter count returned is the one planned
+    for them (threshold, heavy hitters and shares are re-planned for
     the shrunk topology). *)

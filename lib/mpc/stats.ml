@@ -105,16 +105,6 @@ let target_load ~m ~p ~epsilon =
   if p <= 0 then 0.0
   else float_of_int m /. (float_of_int p ** (1.0 -. epsilon))
 
-(* Render the obs-side per-round skew reports next to the stats they
-   annotate. Reports are sampled statistics recorded by Obs.Sketch
-   during the run; they never live inside [t] — [t] stays bit-identical
-   with sketching on or off. *)
-let pp_skew ppf (reports : Lamp_obs.Sketch.report list) =
-  List.iter
-    (fun (r : Lamp_obs.Sketch.report) ->
-      Fmt.pf ppf "%a@." Lamp_obs.Sketch.pp_report r)
-    reports
-
 let pp_rounds ppf t =
   Fmt.pf ppf "initial partition: max=%d@." t.initial_max;
   List.iteri

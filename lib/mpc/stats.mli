@@ -80,12 +80,6 @@ val target_load : m:int -> p:int -> epsilon:float -> float
 
 val pp : t Fmt.t
 
-val pp_skew : Format.formatter -> Lamp_obs.Sketch.report list -> unit
-(** Render the obs-side per-round skew reports (sampled heavy-hitter
-    statistics recorded during the run). They live in [Obs.Sketch]'s
-    ring, {e not} in {!t}: [t] is bit-identical with sketching on or
-    off. *)
-
 val pp_rounds : t Fmt.t
 (** Per-round breakdown: one line per communication round with that
     round's max and total delivery, preceded by the initial partition's

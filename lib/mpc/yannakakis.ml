@@ -452,8 +452,7 @@ let output plan head cluster =
     in
     head_facts head joined.Rel.cols [ joined.Rel.rows ]
 
-let gym ?seed ?forest ?executor ?(faults = Lamp_faults.Plan.none) ?job ~p q
-    instance =
+let gym ?seed ?forest ?executor ?faults ?job ~p q instance =
   if p < 1 then invalid_arg "Yannakakis.gym: p < 1";
   Lamp_obs.Sketch.set_context "gym";
   let forest =
@@ -462,8 +461,10 @@ let gym ?seed ?forest ?executor ?(faults = Lamp_faults.Plan.none) ?job ~p q
     | None -> ( match Hypergraph.gyo q with Some f -> f | None -> raise Cyclic)
   in
   let plan = plan ?seed forest in
-  let cluster = ref (Cluster.create ?executor ~faults ~p instance) in
-  Cluster.supervise ?job ~name:"gym" ~faults
-    (Multi_round.cluster_script ?executor ~faults cluster ~rounds_for:(rounds plan)
-       ~rebalance:(Multi_round.rebalance_shrink cluster));
-  (output plan (Ast.head q) !cluster, Cluster.stats !cluster)
+  (* Every op rehashes its operands: a permanent crash shrinks onto the
+     survivors. *)
+  let cluster, () =
+    Cluster.run_job ?executor ?faults ?job ~name:"gym" ~on_crash:`Shrink ~p
+      instance (fun ~p -> (rounds plan ~p, ()))
+  in
+  (output plan (Ast.head q) cluster, Cluster.stats cluster)

@@ -50,9 +50,9 @@ val gym :
     recovery and checkpoints are {!Cluster}'s: a fault plan hits GYM's
     messages and the recovery wave repairs them.
 
-    With [job], each round is one supervised, checkpointed step; every
-    op rehashes its operands, so a permanent crash-stop shrinks the
-    cluster to the survivors ({!Multi_round.rebalance_shrink}) and
+    With [job], each round is one supervised, checkpointed step of
+    {!Cluster.run_job}; every op rehashes its operands, so a permanent
+    crash-stop shrinks the cluster to the survivors ([`Shrink]) and
     continues.
     @raise Cyclic when the query is not acyclic and no forest is
     given. *)

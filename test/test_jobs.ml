@@ -86,6 +86,30 @@ let test_codec_instance_canonical () =
   Alcotest.check instance "instance round-trips" i1 (Codec.r_instance r);
   Codec.r_end r
 
+(* An instance is written relation by relation: a relation's name
+   appears once, however many facts it holds. *)
+let test_codec_names_once () =
+  let name = "Edge_relation" in
+  let i =
+    Instance.of_facts
+      (List.init 1000 (fun k ->
+           Fact.of_list name [ Value.int k; Value.int (k + 1) ]))
+  in
+  let w = Codec.writer () in
+  Codec.w_instance w i;
+  let enc = Codec.contents w in
+  let occurrences =
+    let n = String.length name in
+    let count = ref 0 in
+    for k = 0 to String.length enc - n do
+      if String.sub enc k n = name then incr count
+    done;
+    !count
+  in
+  Alcotest.(check int) "the relation name is written once" 1 occurrences;
+  Alcotest.check instance "and the instance reads back" i
+    (Codec.r_instance (Codec.reader enc))
+
 let test_codec_corrupt () =
   let w = Codec.writer () in
   Codec.w_string w "payload";
@@ -805,6 +829,25 @@ let test_fingerprint_mismatch () =
     Alcotest.fail "resume under a different plan must raise"
   with Invalid_argument _ -> ()
 
+(* The plan's kill and perma entries act through a job; without one
+   they are errors, not silently ignored. *)
+let test_kill_and_perma_need_a_job () =
+  List.iter
+    (fun spec ->
+      let faults = Plan.make ~seed:0 spec in
+      List.iter
+        (fun (name, (run : algo)) ->
+          match run ~executor:Executor.sequential ~faults () with
+          | _ ->
+            Alcotest.failf "%s: %a without a job must raise" name Plan.pp
+              faults
+          | exception Invalid_argument _ -> ())
+        algorithms)
+    [
+      { Plan.zero with kill_after = Some 1 };
+      { Plan.zero with perma = Some (1, 0) };
+    ]
+
 (* Resuming a finished job is a no-op returning the same results. *)
 let test_resume_finished_job () =
   let store = Store.in_memory () in
@@ -895,24 +938,57 @@ let test_rebalance () =
         (job.Supervisor.rebalanced <> []))
     (List.filter (fun (n, _) -> n <> "hypercube") algorithms)
 
-(* Hypercube's grid is a function of p, so its survivor count is the
-   grid size for the re-optimized shares — check output and the crash
-   record, not an exact p. *)
+(* Hypercube's grid is a function of p: a restart runs on the survivors,
+   one server fewer than the grid, with shares re-optimized for them. *)
 let test_rebalance_hypercube () =
   let clean_out, _, _ =
-    Hypercube.run ~seed:1 ~p:4 triangle_query tri_instance
+    Hypercube.run ~seed:1 ~p:8 triangle_query tri_instance
   in
   let faults = Plan.make ~seed:5 { Plan.zero with perma = Some (1, 0) } in
   let job = Supervisor.create ~store:(Store.in_memory ()) "t" in
-  let out, stats, _ =
-    Hypercube.run ~seed:1 ~faults ~job ~p:4 triangle_query tri_instance
+  let out, stats, shares =
+    Hypercube.run ~seed:1 ~faults ~job ~p:8 triangle_query tri_instance
   in
   Alcotest.check instance "hypercube output survives a permanent crash"
     clean_out out;
   Alcotest.(check bool) "crash recorded" true
     (List.exists
        (fun (r : Stats.recovery) -> r.Stats.crashed = 1)
-       stats.Stats.recoveries)
+       stats.Stats.recoveries);
+  Alcotest.(check int) "restarted on the 7 survivors" 7 stats.Stats.p;
+  let optimized, _ =
+    Shares.optimize ~objective:Shares.Max_load ~p:7
+      ~sizes:(fun (a : Ast.atom) ->
+        Tuple.Set.cardinal (Instance.tuples tri_instance a.Ast.rel))
+      triangle_query
+  in
+  Alcotest.(check (list (pair string int)))
+    "shares re-optimized for the survivors" optimized shares
+
+(* A restart replans for the survivors, and the number the algorithm
+   reports is the survivors' plan's: a clean run on p−1 servers gives
+   the same. *)
+let test_restart_reports_survivor_plan () =
+  let faults = Plan.make ~seed:5 { Plan.zero with perma = Some (1, 1) } in
+  List.iter
+    (fun (name, run) ->
+      let job = Supervisor.create ~store:(Store.in_memory ()) "t" in
+      let _, stats, after_crash = run ~faults ~job:(Some job) ~p:4 in
+      let _, _, clean = run ~faults:Plan.none ~job:None ~p:3 in
+      Alcotest.(check int) (name ^ ": restarted on 3 servers") 3 stats.Stats.p;
+      Alcotest.(check int)
+        (name ^ ": the p = 3 plan's count")
+        clean after_crash)
+    [
+      ( "kst",
+        fun ~faults ~job ~p ->
+          Kst.run ~seed:1 ~threshold:1 ~faults ?job ~p triangle_query
+            tri_instance );
+      ( "skew_resilient_triangle",
+        fun ~faults ~job ~p ->
+          Multi_round.skew_resilient_triangle ~seed:1 ~faults ?job ~p
+            tri_instance );
+    ]
 
 (* The crash fires once per job, even across a kill/resume boundary
    placed right after the rebalance. *)
@@ -1173,6 +1249,7 @@ let () =
         [
           test_case "primitive round-trips" `Quick test_codec_roundtrip;
           test_case "canonical instances" `Quick test_codec_instance_canonical;
+          test_case "each relation name once" `Quick test_codec_names_once;
           test_case "corruption detected" `Quick test_codec_corrupt;
           test_case "hostile length prefixes" `Quick test_codec_hostile_lengths;
         ]
@@ -1213,6 +1290,8 @@ let () =
             test_fingerprint_mismatch;
           test_case "finished job resumes as no-op" `Quick
             test_resume_finished_job;
+          test_case "kill and perma need a job" `Quick
+            test_kill_and_perma_need_a_job;
           test_case "datalog per-iteration" `Quick test_datalog_kill_resume;
           test_case "disk-backed end to end" `Quick test_kill_resume_on_disk;
         ] );
@@ -1224,6 +1303,8 @@ let () =
           test_case "fires once across kill/resume" `Quick
             test_rebalance_once_across_resume;
           test_case "backend-independent" `Quick test_rebalance_pool_identical;
+          test_case "restart reports the survivors' plan" `Quick
+            test_restart_reports_survivor_plan;
         ] );
       ( "speculation",
         [
