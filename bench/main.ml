@@ -1412,14 +1412,22 @@ let e14 () =
 (* ------------------------------------------------------------------ *)
 (* E15: lamp.serve — query service under concurrent loopback load      *)
 
-(* A fleet of client threads, every one holding an open connection at
-   the same time, hammers one server over a Unix socket: ad-hoc
-   executes that all resolve in the prepared-plan cache after the
-   first compile of each query text. Reported: p50/p95/p99 request
-   latency, throughput, cache hit rate, and the two invariants the
-   serving layer promises — responses bit-identical to direct library
-   evaluation, and a drain that leaks neither sessions nor pooled
-   engine handles. *)
+(* One e15 client connection, driven by the generator loop. *)
+type e15_conn = {
+  e15_fd : Unix.file_descr;
+  e15_reader : Serve.Wire.reader;
+  mutable e15_sent : int;  (** requests answered so far *)
+  mutable e15_t0 : float;  (** when the outstanding request was sent *)
+  mutable e15_acc : Relational.Fact.t list;  (** its answer so far *)
+}
+
+(* A fleet of clients, every one holding an open connection at the
+   same time, hammers one server over a Unix socket: ad-hoc executes
+   that all resolve in the prepared-plan cache after the first compile
+   of each query text. Reported: p50/p95/p99 request latency,
+   throughput, cache hit rate, and the two invariants the serving
+   layer promises — responses bit-identical to direct library
+   evaluation, and a drain that leaks no session. *)
 let e15 () =
   section "E15: query service under concurrent loopback load";
   let clients = if !smoke then 100 else 1024 in
@@ -1439,19 +1447,6 @@ let e15 () =
       (Printf.sprintf "lamp_e15_%s_%d.sock" name (Unix.getpid ()))
   in
   let unlink path = try Unix.unlink path with Unix.Unix_error _ -> () in
-  (* connect(2) on a Unix socket fails with EAGAIN/ECONNREFUSED while
-     the listen backlog is full; under a thousand simultaneous opens
-     that is expected, so retry briefly instead of counting it. *)
-  let connect_retry path =
-    let rec go n =
-      match Serve.Client.connect_unix ~path () with
-      | c -> c
-      | exception Serve.Client.Connection_lost _ when n > 0 ->
-        Thread.delay 0.01;
-        go (n - 1)
-    in
-    go 500
-  in
   let encode i =
     let w = Jobs.Codec.writer () in
     Jobs.Codec.w_instance w i;
@@ -1496,8 +1491,11 @@ let e15 () =
     && String.equal seq_hc pool_hc
     && seq_st = pool_st);
   (* -- Concurrent load. --------------------------------------------- *)
-  let was_enabled = Obs.Trace.is_enabled () in
-  Obs.Trace.set_enabled true;
+  (* One generator thread drives every client: it multiplexes the
+     connections with [Wire.poll] and assembles each answer with a
+     [Wire.reader], as the server does, so a full run starts no thread
+     per client and the numbers measure the server, not the scheduling
+     of a thousand generator threads. *)
   let lat_h = Obs.Trace.histogram "e15.latency_us" in
   let config =
     {
@@ -1511,62 +1509,105 @@ let e15 () =
   let path = sock "load" in
   Serve.Server.listen_unix server ~path;
   let expected =
-    List.map (fun q -> (q, Cq.Eval.eval (Cq.Parser.query q) inst)) queries
+    Array.of_list
+      (List.map (fun q -> (q, Cq.Eval.eval (Cq.Parser.query q) inst)) queries)
   in
-  let m = Mutex.create () in
-  let cv = Condition.create () in
-  let connected = ref 0 in
-  let go = ref false in
-  let mismatches = Atomic.make 0 in
-  let errors = Atomic.make 0 in
-  let client_thread i =
-    match connect_retry path with
-    | exception _ ->
-      Atomic.incr errors;
-      Mutex.protect m (fun () -> incr connected)
-    | c ->
-      Fun.protect
-        ~finally:(fun () -> Serve.Client.close c)
-        (fun () ->
-          ignore (Serve.Client.hello ~client:(string_of_int i) c);
-          (* Barrier: every connection is open before any load starts,
-             so the server really holds [clients] concurrent sessions. *)
-          Mutex.lock m;
-          incr connected;
-          while not !go do
-            Condition.wait cv m
-          done;
-          Mutex.unlock m;
-          for r = 0 to per_client - 1 do
-            let q, want = List.nth expected ((i + r) mod List.length expected) in
-            let t0 = Unix.gettimeofday () in
-            match Serve.Client.execute c ~instance:"bench" (Adhoc q) with
-            | got, _ ->
-              Obs.Trace.observe lat_h
-                (int_of_float (1e6 *. (Unix.gettimeofday () -. t0)));
-              if not (Relational.Instance.equal want got) then
-                Atomic.incr mismatches
-            | exception _ -> Atomic.incr errors
-          done)
+  let mismatches = ref 0 in
+  let errors = ref 0 in
+  (* Connections open one at a time, each answered before the next, so
+     the listen backlog never fills and connect(2) needs no retry. *)
+  let open_conn i =
+    let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
+    Unix.connect fd (ADDR_UNIX path);
+    Serve.Wire.write_request fd
+      (Hello { client = string_of_int i; version = Serve.Wire.protocol_version });
+    ignore (Serve.Wire.read_response fd);
+    Unix.set_nonblock fd;
+    { e15_fd = fd; e15_reader = Serve.Wire.reader (); e15_sent = 0;
+      e15_t0 = 0.0; e15_acc = [] }
   in
-  let threads = List.init clients (fun i -> Thread.create client_thread i) in
-  while Mutex.protect m (fun () -> !connected) < clients do
-    Thread.delay 0.01
-  done;
+  (* Every connection is open before any load starts, so the server
+     really holds [clients] concurrent sessions. *)
+  let conns = Array.init clients open_conn in
   (* A control client confirms peak concurrency over the wire itself. *)
-  let control = connect_retry path in
+  let control = Serve.Client.connect_unix ~path () in
   let peak = (Serve.Client.stats control).Serve.Wire.sessions in
   check
     (Printf.sprintf "%d clients concurrently connected at the barrier" clients)
     (peak >= clients);
   metric "clients" (float_of_int clients);
   metric "peak_sessions" (float_of_int peak);
+  let send i =
+    let c = conns.(i) in
+    let q, _ = expected.((i + c.e15_sent) mod Array.length expected) in
+    c.e15_t0 <- Unix.gettimeofday ();
+    c.e15_acc <- [];
+    Serve.Wire.write_request c.e15_fd
+      (Traced
+         {
+           trace = i;
+           span = c.e15_sent;
+           req = Execute { instance = "bench"; plan = Adhoc q; mode = Local };
+         })
+  in
+  (* Reads what connection [i] has; each finished answer is checked
+     and followed by the client's next request. *)
+  let receive i =
+    let c = conns.(i) in
+    let finish ok =
+      if not ok then incr mismatches;
+      c.e15_sent <- c.e15_sent + 1;
+      if c.e15_sent < per_client then send i
+    in
+    let rec go () =
+      match Serve.Wire.read_some c.e15_reader c.e15_fd with
+      | None -> go ()
+      | Some payload -> (
+        match Serve.Wire.response_of_string payload with
+        | Batch facts ->
+          c.e15_acc <- List.rev_append facts c.e15_acc;
+          go ()
+        | Done _ ->
+          Obs.Trace.observe lat_h
+            (int_of_float (1e6 *. (Unix.gettimeofday () -. c.e15_t0)));
+          let _, want = expected.((i + c.e15_sent) mod Array.length expected) in
+          finish
+            (Relational.Instance.equal want
+               (Relational.Instance.of_facts c.e15_acc));
+          go ()
+        | _ ->
+          incr errors;
+          finish true;
+          go ())
+    in
+    try go () with
+    | Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+    | _ ->
+      (* A lost connection loses the rest of its requests. *)
+      errors := !errors + per_client - c.e15_sent;
+      c.e15_sent <- per_client
+  in
+  let fds = Array.map (fun c -> c.e15_fd) conns in
+  let events = Array.make clients 0 in
+  let give_up = Unix.gettimeofday () +. 600.0 in
+  (* Traced from here on, so the histograms hold the load alone. *)
+  let was_enabled = Obs.Trace.is_enabled () in
+  Obs.Trace.set_enabled true;
   let t0 = Unix.gettimeofday () in
-  Mutex.lock m;
-  go := true;
-  Condition.broadcast cv;
-  Mutex.unlock m;
-  List.iter Thread.join threads;
+  Array.iteri (fun i _ -> send i) conns;
+  let busy () = Array.exists (fun c -> c.e15_sent < per_client) conns in
+  while busy () && Unix.gettimeofday () < give_up do
+    Array.iteri
+      (fun i c ->
+        events.(i) <- (if c.e15_sent < per_client then Serve.Wire.pollin else 0))
+      conns;
+    if Serve.Wire.poll fds events 1000 > 0 then
+      Array.iteri (fun i e -> if e <> 0 then receive i) events
+  done;
+  Array.iter
+    (fun c -> errors := !errors + per_client - min per_client c.e15_sent)
+    conns;
+  Array.iter (fun c -> Unix.close c.e15_fd) conns;
   let wall = Unix.gettimeofday () -. t0 in
   let s = Serve.Client.stats control in
   Serve.Client.close control;
@@ -1577,7 +1618,7 @@ let e15 () =
     else float_of_int hits /. float_of_int (hits + misses)
   in
   check "responses bit-identical to direct evaluation"
-    (Atomic.get mismatches = 0 && Atomic.get errors = 0);
+    (!mismatches = 0 && !errors = 0);
   check "no request rejected, throttled or shed"
     (s.rejected = 0 && s.throttled = 0 && s.shed = 0);
   check "plan-cache hit rate above 99% after warmup" (hit_rate > 0.99);
@@ -1590,6 +1631,23 @@ let e15 () =
     Obs.Trace.histogram_snapshot (Obs.Trace.histogram "serve.queue_wait_us")
   in
   metric_percentiles "queue_wait_us" qw;
+  (* The ROADMAP target: p99 queue wait within max_inflight median
+     services. Reported, not checked: a request waits for the services
+     ahead of it in its turn, about (frames in the turn) x mean service,
+     and this mix's mean service exceeds its median, so the ratio sits
+     near 1 and flips across runs (EXPERIMENTS, E15). *)
+  let service =
+    Obs.Trace.histogram_snapshot (Obs.Trace.histogram "serve.request_us")
+  in
+  metric_percentiles "service_us" service;
+  let target =
+    float_of_int config.max_inflight *. Obs.Trace.percentile service 0.50
+  in
+  let ratio = Obs.Trace.percentile qw 0.99 /. target in
+  metric "queue_wait_p99_over_target" ratio;
+  line "  queue wait p99 %.0f us vs max_inflight x median service %.0f us \
+        (ratio %.2f)"
+    (Obs.Trace.percentile qw 0.99) target ratio;
   line
     "  %d clients x %d requests: %.0f req/s   latency p50 %.0f us  p95 %.0f \
      us  p99 %.0f us"

@@ -1327,7 +1327,7 @@ let top_cmd =
         (pq (q name 0.5)) (pq (q name 0.95)) (pq (q name 0.99))
     in
     h "lamp_serve_queue_wait_us" "queue wait";
-    h "lamp_serve_request_us" "latency   ";
+    h "lamp_serve_request_us" "service   ";
     (* Current skew report, if the server sketches. *)
     (match top_find newer "lamp_skew_round" with
     | None -> ()

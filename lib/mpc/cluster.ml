@@ -623,27 +623,24 @@ let run_job ?executor ?(faults = Plan.none) ?job ~name ~on_crash ~p instance
      dead server's facts are charged as replay traffic. *)
   let rebalance ~round ~dead =
     let c = !cluster in
-    if dead < 0 || dead >= c.p || c.p <= 1 then `Continue
-    else begin
-      let survivors, outcome =
-        match on_crash with
-        | `Shrink -> (shrink c ~dead, `Continue)
-        | `Restart -> (create ?executor ~faults ~p:(c.p - 1) instance, `Restart)
-      in
-      survivors.recoveries <-
-        {
-          Stats.round;
-          crashed = 1;
-          replayed = Instance.cardinal c.locals.(dead);
-          retransmitted = 0;
-          duplicates = 0;
-          retries = 0;
-          speculated = 0;
-        }
-        :: survivors.recoveries;
-      cluster := survivors;
-      outcome
-    end
+    let survivors, outcome =
+      match on_crash with
+      | `Shrink -> (shrink c ~dead, `Continue)
+      | `Restart -> (create ?executor ~faults ~p:(c.p - 1) instance, `Restart)
+    in
+    survivors.recoveries <-
+      {
+        Stats.round;
+        crashed = 1;
+        replayed = Instance.cardinal c.locals.(dead);
+        retransmitted = 0;
+        duplicates = 0;
+        retries = 0;
+        speculated = 0;
+      }
+      :: survivors.recoveries;
+    cluster := survivors;
+    outcome
   in
   let script =
     {
@@ -653,6 +650,14 @@ let run_job ?executor ?(faults = Plan.none) ?job ~name ~on_crash ~p instance
       rebalance;
     }
   in
+  (* The one perma= entry fires on the cluster created here, so its
+     server is checked against this p before any round runs. *)
+  (match (Plan.spec faults).perma with
+  | Some _ when p = 1 ->
+    invalid_arg (Fmt.str "%s: perma= on p = 1 leaves no survivor" name)
+  | Some (_, dead) when dead >= p ->
+    invalid_arg (Fmt.str "%s: perma= server %d is outside [0, %d)" name dead p)
+  | _ -> ());
   (match job with
   | None ->
     if Plan.kill_after faults <> None || (Plan.spec faults).perma <> None then

@@ -381,9 +381,6 @@ let openmetrics () =
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
 
-let write_openmetrics path =
-  with_out path (fun oc -> output_string oc (openmetrics ()))
-
 (* Parser for the exposition format — enough for [lamp top] and the
    tests to read back what [openmetrics] (or any Prometheus exporter)
    emits: [name{k="v",...} value] lines, comments skipped. *)

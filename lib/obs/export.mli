@@ -34,8 +34,6 @@ val openmetrics : unit -> string
     [lamp_skew_top{rank,key}] entries, and a final [# EOF]. Metric
     names are sanitized to [a-zA-Z0-9_:] and prefixed [lamp_]. *)
 
-val write_openmetrics : string -> unit
-
 val parse_openmetrics :
   string -> (string * (string * string) list * float) list
 (** Parse exposition text back into [(name, labels, value)] samples —

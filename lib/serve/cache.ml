@@ -11,7 +11,6 @@ type 'a entry = {
 type 'a t = {
   capacity : int;
   tbl : (string, 'a entry) Hashtbl.t;
-  mutex : Mutex.t;
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
@@ -23,7 +22,6 @@ let create ?(capacity = 128) () =
   {
     capacity;
     tbl = Hashtbl.create 64;
-    mutex = Mutex.create ();
     clock = 0;
     hits = 0;
     misses = 0;
@@ -50,43 +48,40 @@ let evict_lru t =
   | None -> ()
 
 let find_or_add t key build =
-  Mutex.protect t.mutex (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | Some e ->
-        t.hits <- t.hits + 1;
-        touch t e;
-        (e.value, true)
-      | None ->
-        t.misses <- t.misses + 1;
-        let v = build () in
-        if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
-        let e = { value = v; stamp = 0 } in
-        touch t e;
-        Hashtbl.replace t.tbl key e;
-        (v, false))
+  match Hashtbl.find_opt t.tbl key with
+  | Some e ->
+    t.hits <- t.hits + 1;
+    touch t e;
+    (e.value, true)
+  | None ->
+    t.misses <- t.misses + 1;
+    let v = build () in
+    if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
+    let e = { value = v; stamp = 0 } in
+    touch t e;
+    Hashtbl.replace t.tbl key e;
+    (v, false)
 
 let find t key =
-  Mutex.protect t.mutex (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | Some e ->
-        t.hits <- t.hits + 1;
-        touch t e;
-        Some e.value
-      | None ->
-        t.misses <- t.misses + 1;
-        None)
+  match Hashtbl.find_opt t.tbl key with
+  | Some e ->
+    t.hits <- t.hits + 1;
+    touch t e;
+    Some e.value
+  | None ->
+    t.misses <- t.misses + 1;
+    None
 
 let remove_if t pred =
-  Mutex.protect t.mutex (fun () ->
-      let doomed =
-        Hashtbl.fold (fun k _ acc -> if pred k then k :: acc else acc) t.tbl []
-      in
-      List.iter (Hashtbl.remove t.tbl) doomed;
-      let n = List.length doomed in
-      t.evictions <- t.evictions + n;
-      n)
+  let doomed =
+    Hashtbl.fold (fun k _ acc -> if pred k then k :: acc else acc) t.tbl []
+  in
+  List.iter (Hashtbl.remove t.tbl) doomed;
+  let n = List.length doomed in
+  t.evictions <- t.evictions + n;
+  n
 
-let length t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.tbl)
-let hits t = Mutex.protect t.mutex (fun () -> t.hits)
-let misses t = Mutex.protect t.mutex (fun () -> t.misses)
-let evictions t = Mutex.protect t.mutex (fun () -> t.evictions)
+let length t = Hashtbl.length t.tbl
+let hits t = t.hits
+let misses t = t.misses
+let evictions t = t.evictions

@@ -7,9 +7,9 @@
     Hit/miss/eviction counters feed the [stats] endpoint and the e15
     cache-hit-rate acceptance bar.
 
-    Thread-safe. {!find_or_add} runs the builder under the cache lock:
-    two sessions racing on the same fresh fingerprint compile once, and
-    the compile itself is cheap relative to an engine-handle build. *)
+    Not thread-safe: the server's loop is its one user. The counters
+    are plain fields, so a reader on another thread (the stats
+    endpoint) sees them at most a moment stale. *)
 
 type 'a t
 

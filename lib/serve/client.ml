@@ -201,5 +201,3 @@ let trace_dump ?(limit = 256) t =
   match roundtrip t (Wire.Trace_dump { limit }) with
   | Trace_reply spans -> spans
   | _ -> proto "expected Trace_reply"
-
-let trace_id t = t.trace

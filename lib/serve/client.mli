@@ -57,10 +57,6 @@ val hello : ?client:string -> t -> string
     @raise Protocol_error if the server answers with another
     version. *)
 
-val trace_id : t -> int
-(** This connection's trace id, carried by the {!Wire.Traced}
-    envelopes. *)
-
 type prepared = {
   id : int;  (** Pass as [Wire.Id id] to {!execute}. *)
   cached : bool;  (** The server already had this plan compiled. *)

@@ -2,20 +2,19 @@
 
     One logical client op (a {!Wire.request.Keyed} envelope) maps to
     one entry keyed by (client name, key). The first execution claims
-    the entry, runs, and {!commit}s its response payloads, each encoded
-    once as it was sent; any retry of the same key — typically after
-    the chaos of a connection loss, when the client cannot know whether
-    the op executed — {!acquire}s a [`Replay] and writes the recorded
-    payloads again instead of re-executing.
-    An ingest therefore applies {e exactly once} no matter how many
-    times the client has to re-send it.
+    the entry, runs, and {!commit}s its response (opaque strings: the
+    server records its frames as they were encoded, before any is
+    written); any retry of the same key — typically after a connection
+    loss, when the client cannot know whether the op executed —
+    {!acquire}s a [`Replay] and writes the record again instead of
+    re-executing. An ingest therefore applies {e exactly once} no
+    matter how many times the client has to re-send it.
 
     Entries survive until [capacity] later completions evict them
-    (oldest finished first); in-flight (pending) entries are never
-    evicted, and a concurrent retry of a pending key blocks until the
-    first execution commits or aborts. Only {e successful} completions
-    are recorded — a failed attempt {!abort}s so the retry really
-    re-executes.
+    (oldest finished first); a claimed (pending) entry is never
+    evicted. Only {e successful} completions are recorded — a failed
+    attempt {!abort}s so the retry really re-executes. Not
+    thread-safe: the server's loop is its one user.
 
     Client names and keys are both client-chosen, so a (client, key)
     collision — a restarted client whose counter starts over, a second
@@ -37,18 +36,15 @@ val create : capacity:int -> t
 val acquire :
   t -> client:string -> key:int -> digest:int ->
   [ `Replay of string list | `Run of token | `Mismatch ]
-(** [`Replay ps]: this op already completed; answer by writing the
-    payloads [ps] again, one frame each (counted by {!hits}).
-    [`Run tok]: the caller owns the execution. Blocks
-    while another session is executing the same key {e with the same
-    digest}; [`Mismatch]: the key exists (pending or finished) but was
-    claimed for a different request — reject, never replay. [digest]
-    is any collision-resistant-enough fingerprint of the inner request
+(** [`Replay r]: this op already completed; answer with the record [r]
+    (counted by {!hits}). [`Run tok]: the caller owns the execution.
+    [`Mismatch]: the key was recorded for a different request, or is
+    claimed and not yet resolved — reject, never replay. [digest] is
+    any collision-resistant-enough fingerprint of the inner request
     (the server uses {!Wire.checksum} of its encoding). *)
 
 val commit : t -> token -> string list -> unit
-(** Record the op's encoded response payloads (in send order) and wake
-    waiting retries. *)
+(** Record the op's response. *)
 
 val abort : t -> token -> unit
 (** The execution failed or was shed: drop the entry so a retry

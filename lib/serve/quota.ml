@@ -2,7 +2,6 @@ type t = {
   rate : float;
   burst : float;
   clock : unit -> float;
-  mutex : Mutex.t;
   mutable tokens : float;
   mutable last : float;
 }
@@ -10,7 +9,7 @@ type t = {
 let create ?(clock = Unix.gettimeofday) ~rate ~burst () =
   if not (rate > 0.0) then invalid_arg "Quota.create: rate must be > 0";
   if not (burst >= 1.0) then invalid_arg "Quota.create: burst must be >= 1";
-  { rate; burst; clock; mutex = Mutex.create (); tokens = burst; last = clock () }
+  { rate; burst; clock; tokens = burst; last = clock () }
 
 (* Lazy refill: tokens accrue on observation, so an idle bucket costs
    nothing. Clock jumps grant no free capacity in either direction: a
@@ -29,15 +28,13 @@ let refill t =
   if not (Float.is_nan now) then t.last <- now
 
 let try_take ?(cost = 1.0) t =
-  Mutex.protect t.mutex (fun () ->
-      refill t;
-      if t.tokens >= cost then begin
-        t.tokens <- t.tokens -. cost;
-        true
-      end
-      else false)
+  refill t;
+  if t.tokens >= cost then begin
+    t.tokens <- t.tokens -. cost;
+    true
+  end
+  else false
 
 let tokens t =
-  Mutex.protect t.mutex (fun () ->
-      refill t;
-      t.tokens)
+  refill t;
+  t.tokens

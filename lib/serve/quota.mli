@@ -22,8 +22,8 @@ val create : ?clock:(unit -> float) -> rate:float -> burst:float -> unit -> t
 val try_take : ?cost:float -> t -> bool
 (** Spend [cost] tokens (default 1): [true] and debits on success,
     [false] (and no debit) when the bucket holds fewer than [cost].
-    Thread-safe. *)
+    Not thread-safe: the server's loop is its one user. *)
 
 val tokens : t -> float
-(** Current token count after refill — for stats, not for decisions
-    (racy by the time the caller looks). *)
+(** Current token count after refill — for stats, not for
+    decisions. *)

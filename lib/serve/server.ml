@@ -7,6 +7,7 @@ module Eval = Lamp_cq.Eval
 module Parser = Lamp_cq.Parser
 module Ast = Lamp_cq.Ast
 module Executor = Lamp_runtime.Executor
+module Smap = Map.Make (String)
 
 type config = {
   name : string;
@@ -44,15 +45,14 @@ let default_config =
 (* [handle] is the engine handle: the interned-tuple view of [data]
    plus its lazily built column indexes. Building one replays the whole
    instance through the interner, so it is kept across requests: an
-   ingest appends the facts it adds, and only [add_instance] drops it.
-   Both fields change only under the engine lock. *)
+   ingest appends the facts it adds. Only the loop changes a record;
+   [add_instance] installs a fresh one instead. *)
 type inst = {
   mutable data : Instance.t;
   mutable handle : Plan.Db.t option;
 }
 
-(* [pe_id] is [None] until a [Prepare] names the entry; it is set once,
-   under the server's [lock]. *)
+(* [pe_id] is [None] until a [Prepare] names the entry. *)
 type plan_entry = {
   mutable pe_id : int option;
   pe_instance : string;
@@ -60,51 +60,70 @@ type plan_entry = {
   pe_plan : Eval.prepared;
 }
 
+(* One connection. [out] from [out_off] is the unwritten rest of its
+   response; until it is written, the session holds its admission
+   [slot] (if any), reads nothing, and hangs up after if [closing].
+   [deadline] is the one timer of what the session is doing: waiting
+   idle, reading a started frame or writing ([infinity]: none). *)
+type session = {
+  fd : Unix.file_descr;
+  reader : Wire.reader;
+  mutable client : string;
+  mutable out : string;
+  mutable out_off : int;
+  mutable slot : bool;
+  mutable closing : bool;
+  mutable deadline : float;
+}
+
+(* A count [stats] reports, mirrored in the trace counter [c]. *)
+type count = {
+  mutable n : int;
+  c : Trace.counter;
+}
+
+let count name = { n = 0; c = Trace.counter name }
+
+let bump k =
+  k.n <- k.n + 1;
+  Trace.incr k.c
+
+(* All but the atomics belongs to the loop thread; [stats] reads the
+   plain counters from any thread, at most a moment stale. *)
 type t = {
   config : config;
   executor : Executor.t;
-  (* Serializes all engine work (parse/compile/eval/ingest): the
-     process-global interning tables and Db handles are not
-     thread-safe. Sessions overlap on socket I/O, not on evaluation. *)
-  engine : Mutex.t;
-  (* Protects the registries and session bookkeeping below. Leaf locks
-     (Cache, Quota) may be taken under [engine] but never the other
-     way round. *)
-  lock : Mutex.t;
-  session_exit : Condition.t;
-  instances : (string, inst) Hashtbl.t;
+  (* Set from any thread by [add_instance], [listen_*] and [stop]; a
+     byte on [wake_w] makes the loop look. *)
+  instances : inst Smap.t Atomic.t;
+  listeners : Unix.file_descr list Atomic.t;
+  stopping : bool Atomic.t;
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  mutable loop : Thread.t option;
+  sessions : (Unix.file_descr, session) Hashtbl.t;
   plans : (int, plan_entry) Hashtbl.t;
   mutable next_plan : int;
   plan_cache : plan_entry Cache.t;
   quotas : (string, Quota.t) Hashtbl.t;
-  mutable listeners : Unix.file_descr list;
-  mutable acceptors : Thread.t list;
-  (* Live session sockets, for [stop] to shut down. *)
-  session_fds : (Unix.file_descr, unit) Hashtbl.t;
-  mutable session_count : int;
-  mutable stopped : bool;
-  active : int Atomic.t;
-  served : int Atomic.t;
-  rejected : int Atomic.t;
-  throttled : int Atomic.t;
-  started : float;
   dedup : Dedup.t option;
-  deduped_n : int Atomic.t;
-  shed_n : int Atomic.t;
-  reaped_n : int Atomic.t;
-  (* Engine service time (how long the engine lock is held), summed
-     over [engine_ops] holds: their ratio prices an [Overloaded]
-     reply's retry hint. *)
-  engine_us : int Atomic.t;
-  engine_ops : int Atomic.t;
+  (* The frames of the response being produced. *)
+  response : Buffer.t;
+  started : float;
+  mutable active : int;
+  mutable served : int;
+  rejected : count;
+  throttled : count;
+  deduped : count;
+  shed : count;
+  reaped : count;
+  (* Service time summed over [ops] admitted ops: their ratio prices an
+     [Overloaded] reply's retry hint. *)
+  mutable busy_us : int;
+  mutable ops : int;
 }
 
 let requests_c = Trace.counter "serve.requests"
-let rejected_c = Trace.counter "serve.rejected"
-let throttled_c = Trace.counter "serve.throttled"
-let deduped_c = Trace.counter "serve.deduped"
-let shed_c = Trace.counter "serve.shed"
-let reaped_c = Trace.counter "serve.reaped"
 let queue_wait_h = Trace.histogram "serve.queue_wait_us"
 let request_h = Trace.histogram "serve.request_us"
 
@@ -126,9 +145,10 @@ let () =
     ~help:"Sessions cut off by the idle, read or write deadline"
     "serve.reaped";
   Metrics.describe ~kind:Metrics.Histogram
-    ~help:"Wait for the engine lock, microseconds" "serve.queue_wait_us";
+    ~help:"request frame complete → execution start" "serve.queue_wait_us";
   Metrics.describe ~kind:Metrics.Histogram
-    ~help:"Request handling end to end, microseconds" "serve.request_us"
+    ~help:"execution start → response handed to the socket"
+    "serve.request_us"
 
 (* Live gauges for the scrape endpoint. Callback-backed: evaluated at
    snapshot time, so they are always current and cost nothing between
@@ -137,9 +157,9 @@ let () =
    process shape (one server) anyway. *)
 let register_gauges t =
   Metrics.register_callback "serve.sessions" (fun () ->
-      float_of_int (Mutex.protect t.lock (fun () -> t.session_count)));
+      float_of_int (Hashtbl.length t.sessions));
   Metrics.register_callback "serve.active_requests" (fun () ->
-      float_of_int (Atomic.get t.active));
+      float_of_int t.active);
   Metrics.register_callback "serve.executor_in_flight" (fun () ->
       float_of_int (Executor.in_flight t.executor));
   Metrics.register_callback "serve.plan_cache_size" (fun () ->
@@ -147,62 +167,12 @@ let register_gauges t =
   Metrics.register_callback "serve.uptime_s" (fun () ->
       Unix.gettimeofday () -. t.started)
 
-let create ?(config = default_config) ~executor () =
-  if config.max_sessions < 1 then invalid_arg "Server: max_sessions < 1";
-  if config.max_inflight < 0 then invalid_arg "Server: max_inflight < 0";
-  if config.batch < 1 then invalid_arg "Server: batch < 1";
-  if config.max_frame < 1 then invalid_arg "Server: max_frame < 1";
-  if config.dedup_max_bytes < 1 then
-    invalid_arg "Server: dedup_max_bytes < 1";
-  let t = {
-    config;
-    executor;
-    engine = Mutex.create ();
-    lock = Mutex.create ();
-    session_exit = Condition.create ();
-    instances = Hashtbl.create 8;
-    plans = Hashtbl.create 64;
-    next_plan = 1;
-    plan_cache = Cache.create ~capacity:config.plan_cache ();
-    quotas = Hashtbl.create 16;
-    listeners = [];
-    acceptors = [];
-    session_fds = Hashtbl.create 64;
-    session_count = 0;
-    stopped = false;
-    active = Atomic.make 0;
-    served = Atomic.make 0;
-    rejected = Atomic.make 0;
-    throttled = Atomic.make 0;
-    started = Unix.gettimeofday ();
-    dedup =
-      (if config.dedup_window > 0 then
-         Some (Dedup.create ~capacity:config.dedup_window)
-       else None);
-    deduped_n = Atomic.make 0;
-    shed_n = Atomic.make 0;
-    reaped_n = Atomic.make 0;
-    engine_us = Atomic.make 0;
-    engine_ops = Atomic.make 0;
-  } in
-  register_gauges t;
-  t
+let rec update a f =
+  let v = Atomic.get a in
+  if not (Atomic.compare_and_set a v (f v)) then update a f
 
 let add_instance t ~name data =
-  Mutex.protect t.engine (fun () ->
-      Mutex.protect t.lock (fun () ->
-          match Hashtbl.find_opt t.instances name with
-          | Some inst ->
-            inst.data <- data;
-            inst.handle <- None
-          | None -> Hashtbl.replace t.instances name { data; handle = None }))
-
-let instance t name =
-  Mutex.protect t.lock (fun () ->
-      Option.map (fun i -> i.data) (Hashtbl.find_opt t.instances name))
-
-let find_instance t name =
-  Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.instances name)
+  update t.instances (Smap.add name { data; handle = None })
 
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
@@ -213,21 +183,8 @@ let bad fmt = Format.kasprintf (fun s -> raise (Reply (Bad_request, s))) fmt
 
 let usecs s = int_of_float (s *. 1e6)
 
-let with_engine t f =
-  let t0 = Unix.gettimeofday () in
-  Mutex.lock t.engine;
-  let t1 = Unix.gettimeofday () in
-  Trace.observe queue_wait_h (usecs (t1 -. t0));
-  Fun.protect
-    ~finally:(fun () ->
-      let held = usecs (Unix.gettimeofday () -. t1) in
-      Mutex.unlock t.engine;
-      ignore (Atomic.fetch_and_add t.engine_us held : int);
-      Atomic.incr t.engine_ops)
-    f
-
 let get_inst t name =
-  match find_instance t name with
+  match Smap.find_opt name (Atomic.get t.instances) with
   | Some i -> i
   | None -> bad "unknown instance %S" name
 
@@ -239,8 +196,8 @@ let parse_query q =
   try Parser.query q with Parser.Parse_error m -> bad "parse error: %s" m
 
 (* Runs [f] on the instance's engine handle, building it first if there
-   is none. Call under the engine lock. If [f] raises, the handle's
-   state is unknown, so it is dropped and rebuilt on next use. *)
+   is none. If [f] raises, the handle's state is unknown, so it is
+   dropped and rebuilt on next use. *)
 let with_handle inst f =
   let db =
     match inst.handle with
@@ -256,8 +213,8 @@ let with_handle inst f =
     inst.handle <- None;
     raise e
 
-(* Compile under the engine lock, against the handle's counts
-   (join-order estimates only — the result set is order-independent). *)
+(* Compiled against the handle's counts (join-order estimates only —
+   the result set is order-independent). *)
 let prepare_plan t inst ~instance ast =
   let key = fingerprint ~instance ast in
   Cache.find_or_add t.plan_cache key (fun () ->
@@ -271,19 +228,18 @@ let prepare_plan t inst ~instance ast =
    with ad-hoc texts. The first [Prepare] naming an entry registers it;
    later ones answer the same id. *)
 let plan_id t entry =
-  Mutex.protect t.lock (fun () ->
-      match entry.pe_id with
-      | Some id -> id
-      | None ->
-        let id = t.next_plan in
-        t.next_plan <- id + 1;
-        entry.pe_id <- Some id;
-        Hashtbl.replace t.plans id entry;
-        id)
+  match entry.pe_id with
+  | Some id -> id
+  | None ->
+    let id = t.next_plan in
+    t.next_plan <- id + 1;
+    entry.pe_id <- Some id;
+    Hashtbl.replace t.plans id entry;
+    id
 
 let resolve_plan t inst ~instance = function
   | Wire.Id id -> (
-    match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.plans id) with
+    match Hashtbl.find_opt t.plans id with
     | None -> bad "unknown plan id %d" id
     | Some e when e.pe_instance <> instance ->
       bad "plan %d belongs to instance %S" id e.pe_instance
@@ -295,32 +251,27 @@ let resolve_plan t inst ~instance = function
 
 let execute t ~instance plan_ref mode =
   let inst = get_inst t instance in
-  with_engine t (fun () ->
-      match mode with
-      | Wire.Local ->
-        let entry = resolve_plan t inst ~instance plan_ref in
-        let result = with_handle inst (Eval.run entry.pe_plan) in
-        (result, None)
-      | Wire.Hypercube { p } ->
-        if p < 1 then bad "hypercube: p must be >= 1";
-        let entry = resolve_plan t inst ~instance plan_ref in
-        let result, stats, _shares =
-          Lamp_mpc.Hypercube.run ~executor:t.executor ~p entry.pe_ast
-            inst.data
-        in
-        (result, Some stats)
-      | Wire.Repartition { p } ->
-        if p < 1 then bad "repartition: p must be >= 1";
-        let result, stats =
-          Lamp_mpc.Repartition_join.run ~executor:t.executor ~p inst.data
-        in
-        (result, Some stats)
-      | Wire.Grid { p } ->
-        if p < 1 then bad "grid: p must be >= 1";
-        let result, stats =
-          Lamp_mpc.Grid_join.run ~executor:t.executor ~p inst.data
-        in
-        (result, Some stats))
+  match mode with
+  | Wire.Local ->
+    let entry = resolve_plan t inst ~instance plan_ref in
+    (with_handle inst (Eval.run entry.pe_plan), None)
+  | Wire.Hypercube { p } ->
+    if p < 1 then bad "hypercube: p must be >= 1";
+    let entry = resolve_plan t inst ~instance plan_ref in
+    let result, stats, _shares =
+      Lamp_mpc.Hypercube.run ~executor:t.executor ~p entry.pe_ast inst.data
+    in
+    (result, Some stats)
+  | Wire.Repartition { p } ->
+    if p < 1 then bad "repartition: p must be >= 1";
+    let result, stats =
+      Lamp_mpc.Repartition_join.run ~executor:t.executor ~p inst.data
+    in
+    (result, Some stats)
+  | Wire.Grid { p } ->
+    if p < 1 then bad "grid: p must be >= 1";
+    let result, stats = Lamp_mpc.Grid_join.run ~executor:t.executor ~p inst.data in
+    (result, Some stats)
 
 (* Ingest only ever adds facts, so the live handle is extended with
    exactly the facts the union adds; its column indexes catch up on
@@ -329,37 +280,33 @@ let execute t ~instance plan_ref mode =
    counts are dropped so re-preparation sees fresh cardinalities. *)
 let ingest t ~instance facts =
   let inst = get_inst t instance in
-  with_engine t (fun () ->
-      let fresh = Instance.diff (Instance.of_facts facts) inst.data in
-      let added = Instance.cardinal fresh in
-      if added > 0 then begin
-        if Option.is_some inst.handle then
-          with_handle inst (fun db -> Plan.Db.extend db fresh);
-        inst.data <- Instance.union inst.data fresh;
-        let prefix = instance ^ "\000" in
-        ignore
-          (Cache.remove_if t.plan_cache (fun k ->
-               String.length k >= String.length prefix
-               && String.sub k 0 (String.length prefix) = prefix))
-      end;
-      added)
+  let fresh = Instance.diff (Instance.of_facts facts) inst.data in
+  let added = Instance.cardinal fresh in
+  if added > 0 then begin
+    if Option.is_some inst.handle then
+      with_handle inst (fun db -> Plan.Db.extend db fresh);
+    inst.data <- Instance.union inst.data fresh;
+    let prefix = instance ^ "\000" in
+    ignore (Cache.remove_if t.plan_cache (String.starts_with ~prefix))
+  end;
+  added
 
 let stats t =
   {
-    Wire.sessions = Mutex.protect t.lock (fun () -> t.session_count);
-    active_requests = Atomic.get t.active;
+    Wire.sessions = Hashtbl.length t.sessions;
+    active_requests = t.active;
     executor_in_flight = Executor.in_flight t.executor;
     pool_workers = Executor.workers t.executor;
     plan_cache_size = Cache.length t.plan_cache;
     plan_cache_hits = Cache.hits t.plan_cache;
     plan_cache_misses = Cache.misses t.plan_cache;
-    requests_served = Atomic.get t.served;
-    rejected = Atomic.get t.rejected;
-    throttled = Atomic.get t.throttled;
+    requests_served = t.served;
+    rejected = t.rejected.n;
+    throttled = t.throttled.n;
     uptime_s = Unix.gettimeofday () -. t.started;
-    deduped = Atomic.get t.deduped_n;
-    shed = Atomic.get t.shed_n;
-    reaped = Atomic.get t.reaped_n;
+    deduped = t.deduped.n;
+    shed = t.shed.n;
+    reaped = t.reaped.n;
   }
 
 let quota_allows t client =
@@ -367,385 +314,413 @@ let quota_allows t client =
   | None -> true
   | Some (rate, burst) ->
     let bucket =
-      Mutex.protect t.lock (fun () ->
-          match Hashtbl.find_opt t.quotas client with
-          | Some b -> b
-          | None ->
-            let b = Quota.create ~rate ~burst () in
-            Hashtbl.replace t.quotas client b;
-            b)
+      match Hashtbl.find_opt t.quotas client with
+      | Some b -> b
+      | None ->
+        let b = Quota.create ~rate ~burst () in
+        Hashtbl.replace t.quotas client b;
+        b
     in
     Quota.try_take bucket
 
 (* Admission, the server's one overload decision, taken by every
-   engine op: the client's quota first, then the in-flight bound. A
-   slot is claimed with one fetch-and-add; an over-claim is rolled back
-   and answered [Overloaded] at once instead of queueing. The count it
-   found is the queue it would have joined, so the retry hint is that
-   many mean engine services. *)
-let admit t client f =
-  if not (quota_allows t client) then begin
-    Atomic.incr t.throttled;
-    Trace.incr throttled_c;
+   engine op: the client's quota first, then the in-flight bound. An op
+   that finds [max_inflight] requests admitted and not yet answered is
+   refused [Overloaded] at once; that count is the queue it would have
+   joined, so the retry hint is that many mean services. An admitted
+   op holds its slot until its response's last frame is written. *)
+let admit t s f =
+  if not (quota_allows t s.client) then begin
+    bump t.throttled;
     raise (Reply (Throttled, "client quota exhausted"))
   end;
-  let n = Atomic.fetch_and_add t.active 1 in
+  let n = t.active in
   if n >= t.config.max_inflight then begin
-    Atomic.decr t.active;
-    Atomic.incr t.shed_n;
-    Trace.incr shed_c;
-    let ops = Atomic.get t.engine_ops in
+    bump t.shed;
     let mean_s =
-      if ops = 0 then 0.0
-      else float_of_int (Atomic.get t.engine_us) /. float_of_int ops /. 1e6
+      if t.ops = 0 then 0.0
+      else float_of_int t.busy_us /. float_of_int t.ops /. 1e6
     in
     raise
       (Reply
          ( Overloaded { retry_after_s = float_of_int n *. mean_s },
            "server at max in-flight requests" ))
   end;
-  Fun.protect ~finally:(fun () -> Atomic.decr t.active) f
+  t.active <- n + 1;
+  s.slot <- true;
+  let t0 = Unix.gettimeofday () in
+  Fun.protect
+    ~finally:(fun () ->
+      t.busy_us <- t.busy_us + usecs (Unix.gettimeofday () -. t0);
+      t.ops <- t.ops + 1)
+    f
 
 let stream_result t reply result stats =
-  let total = Instance.cardinal result in
-  let flush batch = if batch <> [] then reply (Wire.Batch (List.rev batch)) in
-  let pending, count =
-    Instance.fold
-      (fun fact (batch, n) ->
-        if n = t.config.batch then begin
-          flush batch;
-          ([ fact ], 1)
-        end
-        else (fact :: batch, n + 1))
-      result ([], 0)
+  let batch = ref [] and n = ref 0 in
+  let flush () =
+    if !n > 0 then reply (Wire.Batch (List.rev !batch));
+    batch := [];
+    n := 0
   in
-  ignore count;
-  flush pending;
-  reply (Wire.Done { facts = total; stats })
+  Instance.iter
+    (fun fact ->
+      batch := fact :: !batch;
+      incr n;
+      if !n = t.config.batch then flush ())
+    result;
+  flush ();
+  reply (Wire.Done { facts = Instance.cardinal result; stats })
 
 let span_info_of_event : Trace.event -> Wire.span_info option = function
   | Trace.Span { name; cat; tid; t; dur; args = _ } ->
     Some { Wire.sp_name = name; sp_cat = cat; sp_tid = tid; sp_t = t; sp_dur = dur }
   | Trace.Instant _ | Trace.Sample _ -> None
 
-let write_deadline t =
-  Option.map (fun s -> Unix.gettimeofday () +. s) t.config.write_timeout_s
-
-(* One write deadline covers the whole response: it is set when the
-   first frame is written, after any engine queueing, so a peer that
-   drains a long stream too slowly is cut off even if each frame alone
-   would make it. Each response is encoded once; inside a [Keyed]
-   execution that payload is also what the dedup window records and
-   replays. *)
-let handle_request t fd client req =
+(* Produces the whole response into [t.response], each frame encoded
+   once. *)
+let handle_request t s req =
   Trace.incr requests_c;
-  let t0 = Unix.gettimeofday () in
-  let recording = ref None in
-  let oversized = ref false in
-  let deadline = ref None in
-  let send payload =
-    if Option.is_none !deadline then deadline := write_deadline t;
-    Wire.write_frame ?deadline:!deadline fd payload
-  in
-  let reply resp =
-    let payload = Wire.response_to_string resp in
-    (match !recording with
-    | Some (acc, bytes) ->
-      (* A dedup record pins its payloads in server memory for up to
-         [dedup_window] completions, so its size must be bounded by
-         policy, not by [max_frame]. Past the cap the recording is
-         dropped and the keyed wrapper aborts instead of committing:
-         a retry of a huge result re-executes rather than replaying. *)
-      bytes := !bytes + String.length payload;
-      if !bytes > t.config.dedup_max_bytes then begin
-        recording := None;
-        oversized := true
-      end
-      else acc := payload :: !acc
-    | None -> ());
-    send payload
-  in
-  (try
-     let rec go (req : Wire.request) =
-       match req with
-       | Hello { client = name; version } ->
-         if version <> Wire.protocol_version then
-           bad "protocol version %d, server speaks %d" version
-             Wire.protocol_version;
-         client := name;
-         reply (Hello_ok { server = t.config.name; version })
-       | Health -> reply Healthy
-       | Stats -> reply (Stats_reply (stats t))
-       | Metrics -> reply (Metrics_reply (Export.openmetrics ()))
-       | Trace_dump { limit } ->
-         let limit = max 0 (min limit 10_000) in
-         let spans =
-           List.filter_map span_info_of_event (Trace.recent ~limit ())
-         in
-         reply (Trace_reply spans)
-       | Traced { trace; span; req = inner } -> (
-         match inner with
-         | Traced _ -> bad "nested Traced request"
-         | _ ->
-           (* The server-side span for the work, linked to the caller's
-              trace so a client span and its server span correlate in
-              one timeline. *)
-           Trace.span ~cat:"serve"
-             ~args:
-               [
-                 ("trace", Trace.Int trace);
-                 ("span", Trace.Int span);
-                 ("client", Trace.Str !client);
-               ]
-             "serve.request"
-             (fun () -> go inner))
-       | Keyed { key; req = inner } -> (
-         match inner with
-         | Keyed _ | Traced _ | Hello _ -> bad "malformed Keyed request"
-         | _ -> (
-           match t.dedup with
-           | None -> go inner
-           | Some dedup -> (
-             (* The digest ties the window entry to this request's
-                bytes: a colliding (client, key) — client names are
-                self-reported and keys client-allocated — can never be
-                answered with another operation's recording. *)
-             let digest = Wire.checksum (Wire.request_to_string inner) in
-             match Dedup.acquire dedup ~client:!client ~key ~digest with
-             | `Replay payloads ->
-               (* The op already ran to completion (possibly on a
-                  session whose connection the client lost): answer
-                  with the recorded payloads, execute nothing. *)
-               Atomic.incr t.deduped_n;
-               Trace.incr deduped_c;
-               List.iter send payloads
-             | `Mismatch ->
-               bad "idempotency key %d re-used for a different request"
-                 key
-             | `Run token -> (
-               let acc = ref [] in
-               oversized := false;
-               recording := Some (acc, ref 0);
-               match go inner with
-               | () ->
-                 recording := None;
-                 if !oversized then Dedup.abort dedup token
-                 else Dedup.commit dedup token (List.rev !acc)
-               | exception e ->
-                 (* Only successful completions are recorded: the
-                    retry of a shed or failed attempt re-executes. *)
-                 recording := None;
-                 Dedup.abort dedup token;
-                 raise e))))
-       | Prepare { instance; query } ->
-         admit t !client (fun () ->
-             let ast = parse_query query in
-             let inst = get_inst t instance in
-             let entry, cached =
-               with_engine t (fun () -> prepare_plan t inst ~instance ast)
-             in
-             let id = plan_id t entry in
-             Atomic.incr t.served;
-             reply
-               (Prepared
-                  {
-                    id;
-                    cached;
-                    atoms = Eval.atom_count entry.pe_plan;
-                  }))
-       | Execute { instance; plan; mode } ->
-         admit t !client (fun () ->
-             let result, mpc_stats = execute t ~instance plan mode in
-             Atomic.incr t.served;
-             (* Stream outside the engine lock: the result instance is
-                immutable, so slow clients only hold their own socket. *)
-             stream_result t reply result mpc_stats)
-       | Ingest { instance; facts } ->
-         admit t !client (fun () ->
-             let added = ingest t ~instance facts in
-             Atomic.incr t.served;
-             reply (Ingested { added }))
-     in
-     go req
-   with
+  let reply resp = Wire.add_frame t.response (Wire.response_to_string resp) in
+  try
+    let rec go (req : Wire.request) =
+      match req with
+      | Hello { client = name; version } ->
+        if version <> Wire.protocol_version then
+          bad "protocol version %d, server speaks %d" version
+            Wire.protocol_version;
+        s.client <- name;
+        reply (Hello_ok { server = t.config.name; version })
+      | Health -> reply Healthy
+      | Stats -> reply (Stats_reply (stats t))
+      | Metrics -> reply (Metrics_reply (Export.openmetrics ()))
+      | Trace_dump { limit } ->
+        let limit = max 0 (min limit 10_000) in
+        let spans =
+          List.filter_map span_info_of_event (Trace.recent ~limit ())
+        in
+        reply (Trace_reply spans)
+      | Traced { trace; span; req = inner } -> (
+        match inner with
+        | Traced _ -> bad "nested Traced request"
+        | _ ->
+          (* The server-side span for the work, linked to the caller's
+             trace so a client span and its server span correlate in
+             one timeline. *)
+          Trace.span ~cat:"serve"
+            ~args:
+              [
+                ("trace", Trace.Int trace);
+                ("span", Trace.Int span);
+                ("client", Trace.Str s.client);
+              ]
+            "serve.request"
+            (fun () -> go inner))
+      | Keyed { key; req = inner } -> (
+        match inner with
+        | Keyed _ | Traced _ | Hello _ -> bad "malformed Keyed request"
+        | _ -> (
+          match t.dedup with
+          | None -> go inner
+          | Some dedup -> (
+            (* The digest ties the window entry to this request's
+               bytes: a colliding (client, key) — client names are
+               self-reported and keys client-allocated — can never be
+               answered with another operation's recording. *)
+            let digest = Wire.checksum (Wire.request_to_string inner) in
+            match Dedup.acquire dedup ~client:s.client ~key ~digest with
+            | `Replay frames ->
+              (* The op already ran to completion (possibly for a
+                 connection the client lost): answer with the recorded
+                 frames, execute nothing. *)
+              bump t.deduped;
+              List.iter (Buffer.add_string t.response) frames
+            | `Mismatch ->
+              bad "idempotency key %d re-used for a different request" key
+            | `Run token -> (
+              (* The record is the response's frames, made as soon as
+                 they exist, before any is written: a client that hangs
+                 up before its answer gets the replay on its retry. Only
+                 successes are recorded, and none past
+                 [dedup_max_bytes], which bounds what the window pins:
+                 those retries re-execute. *)
+              let start = Buffer.length t.response in
+              match go inner with
+              | () ->
+                let len = Buffer.length t.response - start in
+                if len > t.config.dedup_max_bytes then Dedup.abort dedup token
+                else Dedup.commit dedup token [ Buffer.sub t.response start len ]
+              | exception e ->
+                Dedup.abort dedup token;
+                raise e))))
+      | Prepare { instance; query } ->
+        admit t s (fun () ->
+            let ast = parse_query query in
+            let inst = get_inst t instance in
+            let entry, cached = prepare_plan t inst ~instance ast in
+            let id = plan_id t entry in
+            t.served <- t.served + 1;
+            reply
+              (Prepared { id; cached; atoms = Eval.atom_count entry.pe_plan }))
+      | Execute { instance; plan; mode } ->
+        admit t s (fun () ->
+            let result, mpc_stats = execute t ~instance plan mode in
+            t.served <- t.served + 1;
+            stream_result t reply result mpc_stats)
+      | Ingest { instance; facts } ->
+        admit t s (fun () ->
+            let added = ingest t ~instance facts in
+            t.served <- t.served + 1;
+            reply (Ingested { added }))
+    in
+    go req
+  with
   | Reply (code, message) -> reply (Error { code; message })
-  | Wire.Closed as e -> raise e
-  | Wire.Timed_out as e -> raise e
-  | e -> reply (Error { code = Failed; message = Printexc.to_string e }));
-  Trace.observe request_h (usecs (Unix.gettimeofday () -. t0))
+  | e -> reply (Error { code = Failed; message = Printexc.to_string e })
 
 (* ------------------------------------------------------------------ *)
-(* Sessions and listeners                                              *)
+(* The loop                                                            *)
 
-let session_enter t fd =
-  Mutex.protect t.lock (fun () ->
-      if t.stopped then false
-      else begin
-        t.session_count <- t.session_count + 1;
-        Hashtbl.replace t.session_fds fd ();
-        t.session_count <= t.config.max_sessions
-      end)
+let deadline_after = function
+  | None -> infinity
+  | Some s -> Unix.gettimeofday () +. s
 
-let session_leave t fd =
-  Mutex.protect t.lock (fun () ->
-      t.session_count <- t.session_count - 1;
-      Hashtbl.remove t.session_fds fd;
-      Condition.broadcast t.session_exit)
+let release t s =
+  if s.slot then begin
+    s.slot <- false;
+    t.active <- t.active - 1
+  end
 
-let note_reaped t =
-  Atomic.incr t.reaped_n;
-  Trace.incr reaped_c
+let close_session t s =
+  release t s;
+  Hashtbl.remove t.sessions s.fd;
+  try Unix.close s.fd with Unix.Unix_error _ -> ()
 
-(* Three deadlines, when set, bound every socket wait of a session: the
-   idle timeout the wait for a request to {e start} ([Wire.wait_readable]),
-   the read deadline a started frame (defeats slow-loris trickle), and
-   the write deadline a whole response. A session cut off by any of
-   them counts as reaped. *)
-let session t fd =
-  let admitted = session_enter t fd in
-  let hangup_with code message =
-    try
-      Wire.write_response ?deadline:(write_deadline t) fd
-        (Error { code; message })
-    with _ -> ()
+(* Writes what the socket takes of [s.out]; once all of it is written,
+   the session frees its slot and waits for a request or hangs up. *)
+let flush t s =
+  match
+    while s.out_off < String.length s.out do
+      s.out_off <- s.out_off + Wire.write_some s.fd s.out s.out_off
+    done
+  with
+  | () ->
+    s.out <- "";
+    s.out_off <- 0;
+    release t s;
+    if s.closing then close_session t s
+    else s.deadline <- deadline_after t.config.idle_timeout_s
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+  | exception (Wire.Closed | Unix.Unix_error _) -> close_session t s
+
+(* One write deadline covers the whole response: a peer that drains a
+   long stream too slowly is cut off even if each frame alone would
+   make it. *)
+let respond t s =
+  s.out <- Buffer.contents t.response;
+  s.out_off <- 0;
+  Buffer.reset t.response;
+  s.deadline <- deadline_after t.config.write_timeout_s;
+  flush t s
+
+(* A frame that cannot be read leaves the stream unframed: answer once
+   and hang up rather than guess at a resync point. *)
+let hang_up t s code message =
+  Wire.add_frame t.response (Wire.response_to_string (Error { code; message }));
+  s.closing <- true;
+  respond t s
+
+let add_session t fd =
+  Unix.set_nonblock fd;
+  let s =
+    {
+      fd;
+      reader = Wire.reader ~max_len:t.config.max_frame ();
+      client = "anon";
+      out = "";
+      out_off = 0;
+      slot = false;
+      closing = false;
+      deadline = deadline_after t.config.idle_timeout_s;
+    }
   in
-  Fun.protect
-    ~finally:(fun () ->
-      session_leave t fd;
-      try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      if not admitted then begin
-        Atomic.incr t.rejected;
-        Trace.incr rejected_c;
-        hangup_with Rejected "server at max sessions"
-      end
-      else begin
-        let client = ref "anon" in
-        let rdeadline () =
-          Option.map
-            (fun s -> Unix.gettimeofday () +. s)
-            t.config.read_timeout_s
-        in
-        let rec loop () =
-          match Wire.wait_readable ?timeout_s:t.config.idle_timeout_s fd with
-          | false -> note_reaped t
-          | true -> (
-            match
-              Wire.read_request ~max_len:t.config.max_frame
-                ?deadline:(rdeadline ()) fd
-            with
-            | req ->
-              handle_request t fd client req;
-              loop ()
-            | exception Wire.Closed -> ()
-            | exception Wire.Timed_out ->
-              (* The frame never finished arriving: a stalled or
-                 trickling peer. The stream is torn; hang up. *)
-              note_reaped t
-            | exception Wire.Too_large { len; limit } ->
-              hangup_with Corrupt_frame
-                (Printf.sprintf "frame length %d exceeds limit %d" len limit)
-            | exception Lamp_jobs.Codec.Corrupt msg ->
-              (* A corrupt frame leaves the stream unframed; answer once
-                 and hang up rather than guess at a resync point. *)
-              hangup_with Corrupt_frame ("corrupt frame: " ^ msg)
-            | exception Unix.Unix_error _ -> ())
-        in
-        (* [handle_request] itself only lets [Closed] (peer hung up
-           mid-response), a write deadline and socket errors escape. *)
-        try loop () with
-        | Wire.Closed | Unix.Unix_error _ -> ()
-        | Wire.Timed_out -> note_reaped t
-      end)
+  Hashtbl.replace t.sessions fd s;
+  if Hashtbl.length t.sessions > t.config.max_sessions then begin
+    bump t.rejected;
+    hang_up t s Rejected "server at max sessions"
+  end
 
-(* The acceptor blocks in accept(2). The listener's SO_RCVTIMEO wakes
-   it to look at [stopped] again, and [stop] shuts the listener down,
-   which wakes it at once. *)
-let acceptor t listen_fd =
-  let rec loop () =
-    if not (Mutex.protect t.lock (fun () -> t.stopped)) then begin
-      (match Unix.accept ~cloexec:true listen_fd with
-      | fd, _ -> ignore (Thread.create (fun () -> session t fd) ())
-      | exception
-          Unix.Unix_error
-            ((EAGAIN | EWOULDBLOCK | ECONNABORTED | EINTR | EBADF | EINVAL), _, _)
-        ->
-        ()
-      | exception Unix.Unix_error _ ->
-        (* e.g. EMFILE under fd pressure: back off, retry. *)
-        Thread.delay 0.01);
-      loop ()
-    end
+let rec accept_all t listener =
+  match Unix.accept ~cloexec:true listener with
+  | fd, _ ->
+    add_session t fd;
+    accept_all t listener
+  | exception Unix.Unix_error _ -> (* EAGAIN, or EMFILE: a later turn *) ()
+
+(* Reads toward [s]'s next request; a whole frame joins [ready] with
+   the time it completed. The read deadline starts with the frame's
+   first bytes, so the idle wait before them never counts against it. *)
+let read t s ready =
+  let fresh = not (Wire.started s.reader) in
+  let rec pull () =
+    match Wire.read_some s.reader s.fd with
+    | Some payload -> ready := (s, payload, Unix.gettimeofday ()) :: !ready
+    | None -> pull ()
   in
-  loop ()
+  match pull () with
+  | () -> ()
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+    if fresh && Wire.started s.reader then
+      s.deadline <- deadline_after t.config.read_timeout_s
+  | exception (Wire.Closed | Unix.Unix_error _) -> close_session t s
+  | exception Wire.Too_large { len; limit } ->
+    hang_up t s Corrupt_frame
+      (Printf.sprintf "frame length %d exceeds limit %d" len limit)
+  | exception Lamp_jobs.Codec.Corrupt msg ->
+    hang_up t s Corrupt_frame ("corrupt frame: " ^ msg)
 
-let start_listener t fd =
-  Unix.setsockopt_float fd SO_RCVTIMEO 0.2;
-  Mutex.protect t.lock (fun () ->
-      if t.stopped then begin
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        invalid_arg "Server: stopped"
-      end;
-      t.listeners <- fd :: t.listeners;
-      t.acceptors <- Thread.create (fun () -> acceptor t fd) () :: t.acceptors)
+let run t (s, payload, ready_at) =
+  let t0 = Unix.gettimeofday () in
+  Trace.observe queue_wait_h (usecs (t0 -. ready_at));
+  match Wire.request_of_string payload with
+  | exception Lamp_jobs.Codec.Corrupt msg ->
+    hang_up t s Corrupt_frame ("corrupt frame: " ^ msg)
+  | req ->
+    handle_request t s req;
+    respond t s;
+    Trace.observe request_h (usecs (Unix.gettimeofday () -. t0))
+
+let drain_wake t =
+  let b = Bytes.create 64 in
+  try while Unix.read t.wake_r b 0 64 > 0 do () done
+  with Unix.Unix_error _ -> ()
+
+(* One turn: reap the sessions past their deadline, poll the wake pipe,
+   the listeners and every session until something is ready or the
+   nearest deadline, then accept, write, and read whole frames. The
+   frames completed in this turn then run in order, at most one per
+   session, each answered before the next starts. *)
+let turn t =
+  let now = Unix.gettimeofday () in
+  let expired, live =
+    List.partition (fun s -> s.deadline <= now)
+      (Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions [])
+  in
+  List.iter (fun s -> bump t.reaped; close_session t s) expired;
+  let next = List.fold_left (fun d s -> Float.min d s.deadline) infinity live in
+  let listeners = Atomic.get t.listeners in
+  let nl = 1 + List.length listeners in
+  let fds = Array.of_list ((t.wake_r :: listeners) @ List.map (fun s -> s.fd) live) in
+  let events = Array.make (Array.length fds) Wire.pollin in
+  List.iteri (fun i s -> if s.out <> "" then events.(nl + i) <- Wire.pollout) live;
+  let timeout_ms =
+    if next = infinity then -1
+    else max 0 (int_of_float (Float.ceil ((next -. now) *. 1000.0)))
+  in
+  if Wire.poll fds events timeout_ms > 0 then begin
+    if events.(0) <> 0 then drain_wake t;
+    List.iteri (fun i l -> if events.(1 + i) <> 0 then accept_all t l) listeners;
+    let ready = ref [] in
+    List.iteri
+      (fun i s ->
+        let e = events.(nl + i) in
+        if e land Wire.pollout <> 0 then flush t s
+        else if e <> 0 then read t s ready)
+      live;
+    List.iter (run t) (List.rev !ready)
+  end
+
+let serve t =
+  while not (Atomic.get t.stopping) do
+    turn t
+  done;
+  List.iter (close_session t) (Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions []);
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (Atomic.exchange t.listeners [])
+
+let create ?(config = default_config) ~executor () =
+  if config.max_sessions < 1 then invalid_arg "Server: max_sessions < 1";
+  if config.max_inflight < 0 then invalid_arg "Server: max_inflight < 0";
+  if config.batch < 1 then invalid_arg "Server: batch < 1";
+  if config.max_frame < 1 then invalid_arg "Server: max_frame < 1";
+  if config.dedup_max_bytes < 1 then
+    invalid_arg "Server: dedup_max_bytes < 1";
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  let t =
+    {
+      config;
+      executor;
+      instances = Atomic.make Smap.empty;
+      listeners = Atomic.make [];
+      stopping = Atomic.make false;
+      wake_r;
+      wake_w;
+      loop = None;
+      sessions = Hashtbl.create 64;
+      plans = Hashtbl.create 64;
+      next_plan = 1;
+      plan_cache = Cache.create ~capacity:config.plan_cache ();
+      quotas = Hashtbl.create 16;
+      dedup =
+        (if config.dedup_window > 0 then
+           Some (Dedup.create ~capacity:config.dedup_window)
+         else None);
+      response = Buffer.create 65536;
+      started = Unix.gettimeofday ();
+      active = 0;
+      served = 0;
+      rejected = count "serve.rejected";
+      throttled = count "serve.throttled";
+      deduped = count "serve.deduped";
+      shed = count "serve.shed";
+      reaped = count "serve.reaped";
+      busy_us = 0;
+      ops = 0;
+    }
+  in
+  register_gauges t;
+  t.loop <- Some (Thread.create serve t);
+  t
+
+let wake t =
+  try ignore (Unix.single_write_substring t.wake_w "!" 0 1)
+  with Unix.Unix_error _ -> ()
+
+(* Binds and listens on the caller's thread, then hands the listener
+   to the loop. *)
+let listen t domain addr =
+  let fd = Unix.socket ~cloexec:true domain SOCK_STREAM 0 in
+  match
+    if domain = Unix.PF_INET then Unix.setsockopt fd SO_REUSEADDR true;
+    Unix.bind fd addr;
+    Unix.listen fd 128;
+    Unix.set_nonblock fd;
+    if Atomic.get t.stopping then invalid_arg "Server: stopped"
+  with
+  | () ->
+    update t.listeners (List.cons fd);
+    wake t;
+    fd
+  | exception e ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    raise e
 
 let listen_unix t ~path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
-  (try
-     Unix.bind fd (ADDR_UNIX path);
-     Unix.listen fd 128
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  start_listener t fd
+  ignore (listen t PF_UNIX (ADDR_UNIX path))
 
 let listen_tcp ?(host = "127.0.0.1") t ~port =
-  let fd = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt fd SO_REUSEADDR true;
-     Unix.bind fd (ADDR_INET (Unix.inet_addr_of_string host, port));
-     Unix.listen fd 128
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  let bound =
-    match Unix.getsockname fd with
-    | ADDR_INET (_, p) -> p
-    | ADDR_UNIX _ -> assert false
-  in
-  start_listener t fd;
-  bound
+  let fd = listen t PF_INET (ADDR_INET (Unix.inet_addr_of_string host, port)) in
+  match Unix.getsockname fd with
+  | ADDR_INET (_, p) -> p
+  | ADDR_UNIX _ -> assert false
 
 let stop t =
-  let listeners =
-    Mutex.protect t.lock (fun () ->
-        if t.stopped then []
-        else begin
-          t.stopped <- true;
-          let ls = t.listeners in
-          t.listeners <- [];
-          (* Shut sessions down at the socket: their blocking reads
-             return EOF and the session threads unwind; each closes its
-             own fd. Done under the lock: a session leaves the table
-             before closing its fd, so an fd still in the table cannot
-             be closed (and its number reused by a fresh connection)
-             concurrently. *)
-          Hashtbl.iter
-            (fun fd _ ->
-              try Unix.shutdown fd SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-            t.session_fds;
-          ls
-        end)
-  in
-  List.iter
-    (fun fd -> try Unix.shutdown fd SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-    listeners;
-  Mutex.protect t.lock (fun () ->
-      while t.session_count > 0 do
-        Condition.wait t.session_exit t.lock
-      done);
-  let acceptors = t.acceptors in
-  t.acceptors <- [];
-  List.iter Thread.join acceptors;
-  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) listeners
+  if not (Atomic.exchange t.stopping true) then begin
+    wake t;
+    Option.iter Thread.join t.loop;
+    Unix.close t.wake_r;
+    Unix.close t.wake_w
+  end

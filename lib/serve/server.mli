@@ -1,14 +1,15 @@
 (** The lamp query server.
 
     One process serves named instances over Unix-domain or TCP sockets
-    speaking {!Wire}. Each accepted connection gets a session thread;
-    session threads block on socket I/O (releasing the OCaml runtime
-    lock) and take a server-wide {e engine lock} to run queries — the
-    interning tables and [Cq.Plan.Db] handles are not thread-safe, so
-    executions are serialized and parallelism {e within} an execution
-    comes from the {!Lamp_runtime.Executor} passed at creation. The
-    time a request spends waiting on the engine lock is recorded in the
-    ["serve.queue_wait_us"] histogram.
+    speaking {!Wire}. One loop thread answers every session: it polls
+    the listeners and every session socket, assembles request frames,
+    runs at most one request per session per turn inline and writes
+    the response without blocking; a session's next request is read
+    once its previous response is written. Only the loop touches the
+    engine, so nothing takes a lock; parallelism {e within} an
+    execution comes from the {!Lamp_runtime.Executor} passed at
+    creation. The ["serve.queue_wait_us"] histogram records the time
+    from a request frame's completion to its execution start.
 
     Resources are governed as a database server would: one engine
     handle per instance (an interned DB with its lazily built indexes),
@@ -16,14 +17,9 @@
     with the facts an ingest adds; a {!Cache} of compiled plans keyed by
     (instance, canonical query) shared by all sessions, whose entries
     get a plan id only when a [Prepare] names them; per-client
-    token-bucket {!Quota}s; and one overload decision, taken at
-    admission: an engine op that finds [max_inflight] requests already
-    admitted is answered [Overloaded] at once.
-
-    Three deadlines, when set, bound every socket wait of a session:
-    [idle_timeout_s] between requests, [read_timeout_s] for a started
-    request frame and [write_timeout_s] for a whole response. A session
-    cut off by one of them counts in [reaped].
+    token-bucket {!Quota}s; and one overload decision, [max_inflight],
+    taken at admission. Three deadlines, when set, bound every wait of
+    a session; a session cut off by one counts in [reaped].
 
     Responses are bit-identical to direct library calls: [Local] mode
     mirrors [Cq.Eval.eval]'s compiled-plan path, the MPC modes call the
@@ -35,11 +31,12 @@ type config = {
       (** Connections beyond this get [Error Rejected] and a hangup,
           and count in [rejected]. *)
   max_inflight : int;
-      (** Engine ops (prepare, execute, ingest) past admission at once.
-          One more gets [Error (Overloaded { retry_after_s })] at once,
-          without queueing, and counts in [shed]. The hint is the
-          in-flight count times the mean time the engine lock is
-          held per op. Health, stats and scrapes are never refused. *)
+      (** Engine ops (prepare, execute, ingest) admitted and not yet
+          answered: an op holds its slot until its response's last
+          frame is written. One more gets
+          [Error (Overloaded { retry_after_s })] at once and counts in
+          [shed]; the hint is the in-flight count times the mean
+          service time. Health, stats and scrapes are never refused. *)
   plan_cache : int;  (** Plan cache capacity. *)
   batch : int;  (** Facts per [Batch] frame when streaming results. *)
   quota : (float * float) option;
@@ -60,8 +57,8 @@ type config = {
           is governed by [idle_timeout_s]. [None] waits forever.
           Default 30 s. *)
   write_timeout_s : float option;
-      (** Deadline for a whole response, counted from its first frame
-          (engine queueing is not counted): a peer that drains its
+      (** Deadline for a whole response, counted from when it is
+          produced (queueing is not counted): a peer that drains its
           socket too slowly is cut off instead of pinning the session.
           [None] waits forever. Default 30 s. *)
   idle_timeout_s : float option;
@@ -94,15 +91,14 @@ val default_config : config
 type t
 
 val create : ?config:config -> executor:Lamp_runtime.Executor.t -> unit -> t
-(** The executor runs MPC simulations and must outlive the server. *)
+(** Starts the loop thread. The executor runs MPC simulations and must
+    outlive the server. *)
 
 val add_instance : t -> name:string -> Lamp_relational.Instance.t -> unit
-(** Registers (or replaces) a served instance. Replacing drops its
-    engine handle; plans cached for the old contents stay valid, since
-    results do not depend on join order. *)
-
-val instance : t -> string -> Lamp_relational.Instance.t option
-(** Current contents of a served instance (ingests included). *)
+(** Registers (or replaces) a served instance; callable from any
+    thread, and seen by every request that arrives after it returns.
+    Replacing drops its engine handle; plans cached for the old
+    contents stay valid, since results do not depend on join order. *)
 
 val listen_unix : t -> path:string -> unit
 (** Binds a Unix-domain socket (unlinking a stale one) and starts
@@ -113,9 +109,10 @@ val listen_tcp : ?host:string -> t -> port:int -> int
     the bound port, which is the OS's pick when [port = 0]. *)
 
 val stats : t -> Wire.server_stats
+(** Callable from any thread. *)
 
 val stop : t -> unit
-(** Closes listeners, shuts down live sessions and waits for session
-    threads to exit — after [stop], {!stats} reports no session (the
-    smoke test's leak check). Idempotent. The executor is the caller's
-    to dispose. *)
+(** Wakes the loop, which closes every session and listener, and joins
+    it — after [stop], {!stats} reports no session (the smoke test's
+    leak check). Idempotent. The executor is the caller's to
+    dispose. *)

@@ -405,13 +405,12 @@ let checksum s =
   done;
   !h land max_int
 
-(* Sockets stay blocking; a deadline bounds each call in the kernel.
-   Before a read (write) the socket's SO_RCVTIMEO (SO_SNDTIMEO) is set
-   to the time left, and a call that runs out of it fails with EAGAIN
-   (or returns what it moved so far). Each call is one read(2) or one
-   write(2), so none waits longer than the time left. The timeval is
-   microseconds and 0 means no timeout, so the time left is never set
-   below 1 ms. *)
+(* Blocking calls meet their deadline in the kernel. Before a read
+   (write) the socket's SO_RCVTIMEO (SO_SNDTIMEO) is set to the time
+   left, and a call that runs out of it fails with EAGAIN (or returns
+   what it moved so far). Each call is one read(2) or one write(2), so
+   none waits longer than the time left. The timeval is microseconds
+   and 0 means no timeout, so the time left is never set below 1 ms. *)
 let bound fd opt deadline =
   let left = deadline -. Unix.gettimeofday () in
   if left <= 0.0 then raise Timed_out;
@@ -419,31 +418,15 @@ let bound fd opt deadline =
 
 (* EAGAIN ends a kernel timeout: with a deadline, the next [bound]
    raises [Timed_out] once it has passed. Without one, the timeout is a
-   stale one from an earlier deadline on this socket (or inherited from
-   the listener), and is cleared. *)
+   stale one from an earlier deadline on this socket, and is
+   cleared. *)
 let timed_out fd opt deadline =
   if Option.is_none deadline then Unix.setsockopt_float fd opt 0.0
 
-external poll_readable : Unix.file_descr -> int -> int = "lamp_poll_readable"
+let pollin = 1
+let pollout = 2
 
-(* The wait for a request to start is poll(2), not a blocked read: a
-   reader blocked in read(2) on a Unix socket is also woken each time
-   the peer consumes what this side sent (the write-space wakeup shares
-   the socket's wait queue), so a session would be rescheduled once per
-   frame of the response it just streamed. poll wakes only for input,
-   on any descriptor number. *)
-let wait_readable ?timeout_s fd =
-  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout_s in
-  let rec wait () =
-    let ms =
-      match deadline with
-      | None -> -1
-      | Some d ->
-        max 0 (int_of_float (Float.ceil ((d -. Unix.gettimeofday ()) *. 1000.0)))
-    in
-    match poll_readable fd ms with -1 -> wait () | n -> n = 1
-  in
-  wait ()
+external poll : Unix.file_descr array -> int array -> int -> int = "lamp_poll"
 
 (* POSIX raises SIGPIPE on a write after the peer has shut its read
    side, and the default disposition terminates the process — the
@@ -454,65 +437,98 @@ let sigpipe_ignored =
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
      with Invalid_argument _ -> ())
 
-let rec write_all ?deadline fd s off len =
+let write_some fd s off =
   Lazy.force sigpipe_ignored;
-  if len > 0 then begin
+  match Unix.single_write_substring fd s off (String.length s - off) with
+  | n -> n
+  | exception Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> raise Closed
+  | exception Unix.Unix_error (EINTR, _, _) -> 0
+
+let rec write_all ?deadline fd s off =
+  if off < String.length s then begin
     Option.iter (bound fd Unix.SO_SNDTIMEO) deadline;
-    match Unix.single_write_substring fd s off len with
-    | n -> write_all ?deadline fd s (off + n) (len - n)
-    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-      raise Closed
-    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-      write_all ?deadline fd s off len
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+    match write_some fd s off with
+    | n -> write_all ?deadline fd s (off + n)
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
       timed_out fd Unix.SO_SNDTIMEO deadline;
-      write_all ?deadline fd s off len
+      write_all ?deadline fd s off
   end
 
-let read_all ?deadline fd len =
-  let buf = Bytes.create len in
-  let rec go off =
-    if off < len then begin
-      Option.iter (bound fd Unix.SO_RCVTIMEO) deadline;
-      match Unix.read fd buf off (len - off) with
-      | 0 -> raise Closed
-      | n -> go (off + n)
-      | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> raise Closed
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        timed_out fd Unix.SO_RCVTIMEO deadline;
-        go off
-    end
-  in
-  go 0;
-  Bytes.unsafe_to_string buf
+(* A frame in assembly: [buf] is the 16-byte header until [len] is
+   known, then the payload; [got] counts its bytes so far. The length
+   cap is checked before the payload is allocated, the checksum before
+   it is handed out. *)
+type reader = {
+  max_len : int;
+  mutable buf : Bytes.t;
+  mutable len : int;
+  mutable sum : int;
+  mutable got : int;
+}
+
+let reader ?(max_len = max_frame) () =
+  { max_len; buf = Bytes.create 16; len = -1; sum = 0; got = 0 }
+
+let started r = r.len >= 0 || r.got > 0
+
+let rec complete r =
+  if r.got < Bytes.length r.buf then None
+  else if r.len < 0 then begin
+    let len = Int64.to_int (Bytes.get_int64_be r.buf 0) in
+    if len < 0 then
+      raise (Codec.Corrupt (Printf.sprintf "negative frame length %d" len));
+    if len > r.max_len then raise (Too_large { len; limit = r.max_len });
+    r.sum <- Int64.to_int (Bytes.get_int64_be r.buf 8);
+    r.len <- len;
+    r.buf <- Bytes.create len;
+    r.got <- 0;
+    complete r
+  end
+  else begin
+    let payload = Bytes.unsafe_to_string r.buf in
+    r.buf <- Bytes.create 16;
+    r.len <- -1;
+    r.got <- 0;
+    if checksum payload <> r.sum then
+      raise
+        (Codec.Corrupt
+           (Printf.sprintf "frame checksum mismatch (%d bytes)"
+              (String.length payload)));
+    Some payload
+  end
+
+let read_some r fd =
+  (match Unix.read fd r.buf r.got (Bytes.length r.buf - r.got) with
+  | 0 -> raise Closed
+  | n -> r.got <- r.got + n
+  | exception Unix.Unix_error (ECONNRESET, _, _) -> raise Closed
+  | exception Unix.Unix_error (EINTR, _, _) -> ());
+  complete r
 
 let read_frame ?max_len ?deadline fd =
-  let header = read_all ?deadline fd 16 in
-  let r = Codec.reader header in
-  let len = Codec.r_int r in
-  let sum = Codec.r_int r in
-  let limit = match max_len with Some m -> m | None -> max_frame in
-  if len < 0 then
-    raise (Codec.Corrupt (Printf.sprintf "negative frame length %d" len));
-  if len > limit then raise (Too_large { len; limit });
-  let payload = read_all ?deadline fd len in
-  if checksum payload <> sum then
-    raise
-      (Codec.Corrupt
-         (Printf.sprintf "frame checksum mismatch (%d bytes)" len));
-  payload
+  let r = reader ?max_len () in
+  let rec go () =
+    Option.iter (bound fd Unix.SO_RCVTIMEO) deadline;
+    match read_some r fd with
+    | Some payload -> payload
+    | None -> go ()
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+      timed_out fd Unix.SO_RCVTIMEO deadline;
+      go ()
+  in
+  go ()
 
+let add_frame b payload =
+  Buffer.add_int64_be b (Int64.of_int (String.length payload));
+  Buffer.add_int64_be b (Int64.of_int (checksum payload));
+  Buffer.add_string b payload
+
+(* One buffer per frame, so header and payload reach the socket in a
+   single write when it is not full. *)
 let write_frame ?deadline fd payload =
-  let b = Codec.writer () in
-  Codec.w_int b (String.length payload);
-  Codec.w_int b (checksum payload);
-  let header = Codec.contents b in
-  (* One buffer per frame so header and payload reach the socket in a
-     single write when it is not full — sessions interleave whole
-     frames, never partial ones. *)
-  let msg = header ^ payload in
-  write_all ?deadline fd msg 0 (String.length msg)
+  let b = Buffer.create (16 + String.length payload) in
+  add_frame b payload;
+  write_all ?deadline fd (Buffer.contents b) 0
 
 let read_request ?max_len ?deadline fd =
   request_of_string (read_frame ?max_len ?deadline fd)

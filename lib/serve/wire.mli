@@ -173,21 +173,19 @@ val response_of_string : ?version:int -> string -> response
 
 (** {1 Framed I/O}
 
-    Blocking reads/writes on a connected socket. Short reads and writes
-    are retried; EOF mid-frame raises {!Closed}; a frame header
-    announcing a negative payload or one whose checksum does not match
-    raises {!Lamp_jobs.Codec.Corrupt}; a length past the limit raises
-    {!Too_large} before any allocation.
+    Short reads and writes are retried; EOF mid-frame raises {!Closed};
+    a frame header announcing a negative payload or one whose checksum
+    does not match raises {!Lamp_jobs.Codec.Corrupt}; a length past the
+    limit raises {!Too_large} before any allocation.
 
-    Every operation takes an optional {e absolute} [deadline] (a
+    The blocking calls take an optional {e absolute} [deadline] (a
     [Unix.gettimeofday] timestamp): when the transfer has not finished
     by then, {!Timed_out} is raised and the frame is torn — the
-    connection must be abandoned, not reused. Sockets stay blocking:
-    before each read (write) call the socket's [SO_RCVTIMEO]
-    ([SO_SNDTIMEO]) is set to the time left, so the kernel itself ends
-    a call that would block past the deadline, on any descriptor
-    number. A call with no deadline clears a timeout an earlier call
-    left on the socket when it fires.
+    connection must be abandoned, not reused. Before each read (write)
+    call the socket's [SO_RCVTIMEO] ([SO_SNDTIMEO]) is set to the time
+    left, so the kernel itself ends a call that would block past the
+    deadline, on any descriptor number. A call with no deadline clears
+    a timeout an earlier call left on the socket when it fires.
 
     {b Global side effect — SIGPIPE.} The first framed {e write} in a
     process sets the {e process-wide} SIGPIPE disposition to
@@ -219,12 +217,6 @@ val checksum : string -> int
     four bytes per step. Any single-byte change at any position changes
     the digest. Exposed for the property tests. *)
 
-val wait_readable : ?timeout_s:float -> Unix.file_descr -> bool
-(** Blocks until the descriptor is readable or hung up (true) or
-    [timeout_s] elapses (false; never with no timeout), by poll(2): any
-    descriptor number, EINTR-safe. Unlike a read blocked on a Unix
-    socket, it is not woken when the peer consumes what was sent. *)
-
 val read_frame : ?max_len:int -> ?deadline:float -> Unix.file_descr -> string
 (** [max_len] defaults to {!max_frame}. *)
 
@@ -241,3 +233,39 @@ val read_response :
 (** [version] as for {!response_to_string}, checked before reading. *)
 
 val write_response : ?deadline:float -> Unix.file_descr -> response -> unit
+
+(** {1 Multiplexed I/O}
+
+    The same frames on non-blocking sockets: a call that would block
+    lets [Unix.Unix_error EAGAIN] escape. *)
+
+val pollin : int
+val pollout : int
+
+val poll : Unix.file_descr array -> int array -> int -> int
+(** [poll fds events timeout_ms] is poll(2) on any descriptor number:
+    [fds.(i)] waits for [events.(i)], a mask of {!pollin} and
+    {!pollout}, which then holds the ready part (a hangup or error is
+    ready). Negative [timeout_ms] waits without limit. Answers how many
+    are ready, or [-1] when a signal interrupted the wait. *)
+
+type reader
+(** One socket's frame in assembly. *)
+
+val reader : ?max_len:int -> unit -> reader
+(** [max_len] defaults to {!max_frame}, as for {!read_frame}. *)
+
+val started : reader -> bool
+(** Some bytes of the next frame have arrived. *)
+
+val read_some : reader -> Unix.file_descr -> string option
+(** One read(2) toward the reader's frame: [Some payload] once it is
+    whole, [None] while bytes are missing; the bytes so far stay in the
+    reader. Raises as {!read_frame} does. *)
+
+val add_frame : Buffer.t -> string -> unit
+(** Appends the frame of a payload. *)
+
+val write_some : Unix.file_descr -> string -> int -> int
+(** [write_some fd s off] is one write(2) of [s] from [off]: the bytes
+    written. *)

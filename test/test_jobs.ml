@@ -848,6 +848,33 @@ let test_kill_and_perma_need_a_job () =
       { Plan.zero with perma = Some (1, 0) };
     ]
 
+(* A perma= server must be one of the job's p servers, and p = 1 has
+   no survivor to rebalance onto: both raise before any round runs
+   rather than report a rebalance that never happened. Every algorithm
+   runs on p = 4 (HyperCube on the grid it picks from 4). *)
+let test_perma_outside_cluster_rejected () =
+  List.iter
+    (fun (name, (run : algo)) ->
+      List.iter
+        (fun dead ->
+          let faults =
+            Plan.make ~seed:0 { Plan.zero with perma = Some (1, dead) }
+          in
+          let job = Supervisor.create ~store:(Store.in_memory ()) "t" in
+          match run ~job ~executor:Executor.sequential ~faults () with
+          | _ -> Alcotest.failf "%s: perma=1:%d must raise" name dead
+          | exception Invalid_argument _ ->
+            Alcotest.(check int)
+              (Fmt.str "%s: perma=1:%d ran no round" name dead)
+              0 job.Supervisor.checkpoints)
+        [ 9; 4 ])
+    algorithms;
+  let faults = Plan.make ~seed:0 { Plan.zero with perma = Some (1, 0) } in
+  let job = Supervisor.create ~store:(Store.in_memory ()) "t" in
+  match Multi_round.cascade_triangle ~faults ~job ~p:1 tri_instance with
+  | _ -> Alcotest.fail "perma= on p = 1 must raise"
+  | exception Invalid_argument _ -> ()
+
 (* Resuming a finished job is a no-op returning the same results. *)
 let test_resume_finished_job () =
   let store = Store.in_memory () in
@@ -1292,6 +1319,8 @@ let () =
             test_resume_finished_job;
           test_case "kill and perma need a job" `Quick
             test_kill_and_perma_need_a_job;
+          test_case "perma server outside the cluster" `Quick
+            test_perma_outside_cluster_rejected;
           test_case "datalog per-iteration" `Quick test_datalog_kill_resume;
           test_case "disk-backed end to end" `Quick test_kill_resume_on_disk;
         ] );

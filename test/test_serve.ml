@@ -371,7 +371,7 @@ let test_quota_clock_jumps () =
 
 module Dedup = Lamp_serve.Dedup
 
-(* The window records response payloads as the server encoded them. *)
+(* The window keeps opaque strings; the server records its encoded frames. *)
 let payload = Wire.response_to_string
 
 let test_dedup_replay_and_abort () =
@@ -442,41 +442,6 @@ let test_dedup_eviction () =
   match Dedup.acquire d ~client:"c" ~key:1 ~digest:1 with
   | `Run tok -> Dedup.abort d tok
   | `Replay _ | `Mismatch -> Alcotest.fail "evicted key must run again"
-
-let test_dedup_concurrent_retry_blocks () =
-  let d = Dedup.create ~capacity:4 in
-  let first_running = Semaphore.Binary.make false in
-  let release = Semaphore.Binary.make false in
-  let replayed = ref [] in
-  let runner =
-    Thread.create
-      (fun () ->
-        match Dedup.acquire d ~client:"c" ~key:9 ~digest:9 with
-        | `Run tok ->
-          Semaphore.Binary.release first_running;
-          Semaphore.Binary.acquire release;
-          Dedup.commit d tok [ payload (Ingested { added = 7 }) ]
-        | `Replay _ | `Mismatch -> Alcotest.fail "first acquire must run")
-      ()
-  in
-  Semaphore.Binary.acquire first_running;
-  let retrier =
-    Thread.create
-      (fun () ->
-        (* The key is pending: this blocks until the commit, then
-           replays — never a second execution. *)
-        match Dedup.acquire d ~client:"c" ~key:9 ~digest:9 with
-        | `Replay rs -> replayed := rs
-        | `Run _ | `Mismatch ->
-          Alcotest.fail "concurrent retry must not re-run")
-      ()
-  in
-  Thread.delay 0.02;
-  Semaphore.Binary.release release;
-  Thread.join runner;
-  Thread.join retrier;
-  Alcotest.(check (list string)) "retry saw the committed record"
-    [ payload (Ingested { added = 7 }) ] !replayed
 
 (* ------------------------------------------------------------------ *)
 (* Plan cache (LRU)                                                    *)
@@ -1106,6 +1071,81 @@ let await what cond =
     Thread.delay 0.005
   done
 
+(* A keyed op is recorded when its response is produced, not once it
+   is written: a client that sends a keyed ingest and hangs up before
+   the answer, then retries on a fresh connection, gets the original
+   count replayed. The ingest applied exactly once either way. *)
+let test_keyed_hangup_replays () =
+  with_server `Seq (fun server ~executor:_ ~path ->
+      let facts = List.init 20_000 (fun i -> Fact.of_list "Q" [ Value.int i ]) in
+      let keyed : Wire.request =
+        Keyed { key = 7; req = Ingest { instance = "main"; facts } }
+      in
+      let fd = raw_send path (Hello { client = "quitter"; version = 3 }) in
+      ignore (Wire.read_response fd);
+      Wire.write_request fd keyed;
+      Unix.close fd;
+      await "the ingest ran and its session ended" (fun () ->
+          let s = Server.stats server in
+          s.requests_served = 1 && s.sessions = 0);
+      with_client path (fun c ->
+          ignore (Client.hello ~client:"quitter" c);
+          Alcotest.(check int) "the retry replays the original count" 20_000
+            (Client.ingest ~key:7 c ~instance:"main" facts);
+          Alcotest.(check int) "answered from the window" 1
+            (Server.stats server).deduped))
+
+let proc_threads () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+    List.find_map
+      (fun line ->
+        match String.split_on_char ':' line with
+        | [ "Threads"; n ] -> int_of_string_opt (String.trim n)
+        | _ -> None)
+      (String.split_on_char '\n' status)
+
+(* One loop answers every session: 200 concurrent sessions, each with
+   a Health and an Execute in flight, are all answered while the
+   process runs no more threads than before they connected. *)
+let test_sessions_cost_no_threads () =
+  if proc_threads () = None then
+    print_endline "skipped: no /proc/self/status to count threads in"
+  else
+    with_server `Seq (fun server ~executor:_ ~path ->
+        let before = Option.get (proc_threads ()) in
+        let q = "H(x,z) <- E(x,y), E(y,z)" in
+        let expected = Eval.eval (Parser.query q) seed_data in
+        let fds = List.init 200 (fun _ -> raw_send path Health) in
+        Fun.protect
+          ~finally:(fun () -> List.iter Unix.close fds)
+          (fun () ->
+            List.iter
+              (fun fd ->
+                Wire.write_request fd
+                  (Execute { instance = "main"; plan = Adhoc q; mode = Local }))
+              fds;
+            await "every session is connected" (fun () ->
+                (Server.stats server).sessions >= 200);
+            let during = Option.get (proc_threads ()) in
+            List.iter
+              (fun fd ->
+                Alcotest.(check bool) "health answered" true
+                  (Wire.read_response fd = Healthy);
+                let rec collect acc =
+                  match Wire.read_response fd with
+                  | Batch facts -> collect (List.rev_append facts acc)
+                  | Done _ -> Instance.of_facts acc
+                  | _ -> Alcotest.fail "unexpected reply"
+                in
+                check_bit_identical "execute answered" expected (collect []))
+              fds;
+            Alcotest.(check bool)
+              (Printf.sprintf "threads %d with 200 sessions, %d before" during
+                 before)
+              true (during <= before)))
+
 let test_inflight_bound () =
   (* A blocker whose answer outgrows the socket buffers and who reads
      none of it holds the one in-flight slot, so the next engine op is
@@ -1638,8 +1678,6 @@ let () =
           Alcotest.test_case "digest mismatch rejects" `Quick
             test_dedup_digest_mismatch;
           Alcotest.test_case "bounded window evicts" `Quick test_dedup_eviction;
-          Alcotest.test_case "concurrent retry blocks" `Quick
-            test_dedup_concurrent_retry_blocks;
         ] );
       ( "cache",
         [ Alcotest.test_case "LRU semantics" `Quick test_cache_lru ] );
@@ -1670,6 +1708,8 @@ let () =
             test_stop_ends_sessions;
           Alcotest.test_case "concurrent clients agree" `Quick
             test_concurrent_clients_match;
+          Alcotest.test_case "sessions cost no threads" `Quick
+            test_sessions_cost_no_threads;
         ] );
       ( "hardening",
         [
@@ -1679,6 +1719,8 @@ let () =
             test_dedup_byte_cap;
           Alcotest.test_case "keyed replay is byte-identical" `Quick
             test_keyed_replay_bytes;
+          Alcotest.test_case "keyed ingest survives a hangup" `Quick
+            test_keyed_hangup_replays;
           Alcotest.test_case "dropped keyed ingest is retried once" `Quick
             test_resilient_retries_dropped_ingest;
           Alcotest.test_case "overload sheds with retry hint" `Quick
