@@ -413,11 +413,20 @@ let e1 () =
   line "  m = %d per relation (2m facts)" m;
   line "  %-6s %-12s %-12s %-8s %-12s" "p" "load(free)" "2m/p thry" "eps"
     "load(skew)";
+  (* The same join as a MapReduce job on the MPC simulator must give the
+     same output and Stats.t. Skew-free input only: on the skewed one
+     the reducers would build the m² output. *)
+  let mapreduce_same = ref true in
   List.iter
     (fun p ->
       let free = Mpc.Workload.join_skew_free ~m in
       let skew = Mpc.Workload.join_skewed ~m in
-      let _, s_free = Mpc.Repartition_join.run ~materialize:false ~executor:(exec ()) ~p free in
+      let joined, s_free = Mpc.Repartition_join.run ~executor:(exec ()) ~p free in
+      let mr_joined, mr_stats =
+        Mapreduce.Job.run_mpc ~p [ Mapreduce.Jobs.repartition_join ] free
+      in
+      if not (Relational.Instance.equal joined mr_joined && s_free = mr_stats)
+      then mapreduce_same := false;
       let _, s_skew = Mpc.Repartition_join.run ~materialize:false ~executor:(exec ()) ~p skew in
       metric
         (Printf.sprintf "load_free_p%d" p)
@@ -433,6 +442,8 @@ let e1 () =
         (Mpc.Stats.epsilon ~m:(2 * m) s_free)
         (Mpc.Stats.max_load s_skew))
     [ 4; 8; 16; 32; 64 ];
+  check "skew-free: MapReduce job = repartition join (output, stats)"
+    !mapreduce_same;
   line "  shape: load(free) tracks 2m/p (eps ~ 0); load(skew) pins at 2m."
 
 (* ------------------------------------------------------------------ *)
@@ -919,27 +930,20 @@ let e10 () =
   line "  inputs the replication makes HyperCube the loser — the crossover";
   line "  of [26].";
   line "";
-  (* Local computation: the worst-case optimal generic join vs the
-     binary backtracking evaluator on a skewed triangle whose
-     intermediate join is quadratic but whose output is tiny. *)
+  (* Local computation: the worst-case optimal engine (Wcoj) vs the
+     binary-join plan on a skewed triangle whose intermediate join is
+     quadratic but whose output is small. *)
   let rng = Random.State.make [| 26 |] in
   let skewed =
     Mpc.Workload.triangle_y_skew ~rng ~m:1000 ~domain:1000 ~heavy_fraction:1.0
   in
-  let time f =
-    let t0 = Sys.time () in
-    let r = f () in
-    (r, (Sys.time () -. t0) *. 1000.0)
-  in
-  let r1, t_bt = time (fun () -> Cq.Eval.eval Cq.Examples.q2_triangle skewed) in
-  let r2, t_gj =
-    time (fun () -> Cq.Generic_join.eval Cq.Examples.q2_triangle skewed)
-  in
+  let eval strategy () = Cq.Eval.eval ~strategy Cq.Examples.q2_triangle skewed in
+  let r1, t_bin = timed_median ~reps:3 (eval Cq.Eval.Binary) in
+  let r2, t_wcoj = timed_median ~reps:3 (eval Cq.Eval.Wcoj) in
   line "  local evaluation on a fully skewed triangle (m = 1000, output %d):"
     (Relational.Instance.cardinal r1);
-  line "  binary backtracking: %8.1f ms;  generic join: %8.1f ms;  equal: %b"
-    t_bt t_gj
-    (Relational.Instance.equal r1 r2);
+  line "  binary plan: %8.1f ms;  wcoj: %8.1f ms" t_bin t_wcoj;
+  check "wcoj = binary on the skewed triangle" (Relational.Instance.equal r1 r2);
   line "  shape: the worst-case optimal join avoids the quadratic";
   line "  intermediate — the local algorithm [26] pairs with HyperCube."
 
@@ -1491,7 +1495,7 @@ let e15 () =
     && String.equal seq_hc pool_hc
     && seq_st = pool_st);
   (* -- Concurrent load. --------------------------------------------- *)
-  (* One generator thread drives every client: it multiplexes the
+  (* One generator drives every client: it multiplexes the
      connections with [Wire.poll] and assembles each answer with a
      [Wire.reader], as the server does, so a full run starts no thread
      per client and the numbers measure the server, not the scheduling
@@ -1594,16 +1598,24 @@ let e15 () =
   let was_enabled = Obs.Trace.is_enabled () in
   Obs.Trace.set_enabled true;
   let t0 = Unix.gettimeofday () in
-  Array.iteri (fun i _ -> send i) conns;
-  let busy () = Array.exists (fun c -> c.e15_sent < per_client) conns in
-  while busy () && Unix.gettimeofday () < give_up do
-    Array.iteri
-      (fun i c ->
-        events.(i) <- (if c.e15_sent < per_client then Serve.Wire.pollin else 0))
-      conns;
-    if Serve.Wire.poll fds events 1000 > 0 then
-      Array.iteri (fun i e -> if e <> 0 then receive i) events
-  done;
+  (* The generator runs on a domain of its own: on the server's domain
+     its decoding and checking would take the runtime lock between the
+     server loop's syscalls and shape how many frames each turn holds. *)
+  let generator =
+    Domain.spawn (fun () ->
+        Array.iteri (fun i _ -> send i) conns;
+        let busy () = Array.exists (fun c -> c.e15_sent < per_client) conns in
+        while busy () && Unix.gettimeofday () < give_up do
+          Array.iteri
+            (fun i c ->
+              events.(i) <-
+                (if c.e15_sent < per_client then Serve.Wire.pollin else 0))
+            conns;
+          if Serve.Wire.poll fds events 1000 > 0 then
+            Array.iteri (fun i e -> if e <> 0 then receive i) events
+        done)
+  in
+  Domain.join generator;
   Array.iter
     (fun c -> errors := !errors + per_client - min per_client c.e15_sent)
     conns;
@@ -1634,8 +1646,9 @@ let e15 () =
   (* The ROADMAP target: p99 queue wait within max_inflight median
      services. Reported, not checked: a request waits for the services
      ahead of it in its turn, about (frames in the turn) x mean service,
-     and this mix's mean service exceeds its median, so the ratio sits
-     near 1 and flips across runs (EXPERIMENTS, E15). *)
+     and this mix's mean service exceeds its median, so with every
+     connection refilled each turn the ratio sits above 1
+     (EXPERIMENTS, E15). *)
   let service =
     Obs.Trace.histogram_snapshot (Obs.Trace.histogram "serve.request_us")
   in

@@ -7,19 +7,22 @@
     - {!Obs}: tracing, counters and exporters — the observability layer
       everything else reports into (zero-cost when disabled);
     - {!Faults}: seeded deterministic fault plans — crash-stop, message
-      drop/duplication/reordering, stragglers, transient task faults —
-      injected into the simulators below (zero-cost when off);
+      drop/duplication/reordering, stragglers and their speculation
+      verdict, transient task faults — injected into the simulators
+      below (zero-cost when off);
     - {!Jobs}: durable checkpoints and round-indexed job supervision —
-      the kill/resume, straggler-speculation and survivor-rebalancing
-      layer every multi-round algorithm runs under;
+      the kill/resume and survivor-rebalancing layer every multi-round
+      algorithm runs under;
     - {!Runtime}: the multicore execution engine — domain pool,
       work-stealing deques, the executor the simulators run on;
     - {!Relational}: facts, instances, active domains (Section 2);
     - {!Lp}: the simplex solver behind fractional edge packings;
-    - {!Cq}: conjunctive queries, minimal valuations, containment,
-      hypergraphs (Sections 2 and 4);
-    - {!Distribution}: distribution policies and one-round distributed
-      evaluation (Section 4.1);
+    - {!Cq}: conjunctive queries, binary and worst-case optimal
+      evaluation, minimal valuations, containment, hypergraphs
+      (Sections 2 and 4);
+    - {!Distribution}: distribution policies, the seeded routing hash
+      every MPC route uses, and one-round distributed evaluation
+      (Section 4.1);
     - {!Correctness}: parallel-correctness and transfer (Section 4);
     - {!Mpc}: the MPC simulator and its algorithms — repartition and
       grid joins, Shares/HyperCube, multi-round plans, Yannakakis/GYM
@@ -83,7 +86,6 @@ module Cq = struct
   module Plan = Lamp_cq.Plan
   module Index = Lamp_cq.Index
   module Eval = Lamp_cq.Eval
-  module Generic_join = Lamp_cq.Generic_join
   module Wcoj = Lamp_cq.Wcoj
   module Minimal = Lamp_cq.Minimal
   module Containment = Lamp_cq.Containment

@@ -18,17 +18,6 @@ let on_instance q policy i =
         extra = Instance.diff actual expected;
       }
 
-let ucq_on_instance qs policy i =
-  let expected = Eval.eval_ucq qs i in
-  let actual = Distributed.eval_ucq qs policy i in
-  if Instance.equal expected actual then Ok ()
-  else
-    Error
-      {
-        missing = Instance.diff expected actual;
-        extra = Instance.diff actual expected;
-      }
-
 let decide q policy =
   if Ast.has_negation q then
     invalid_arg

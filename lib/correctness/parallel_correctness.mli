@@ -24,9 +24,6 @@ val on_instance :
 (** The PCI problem: parallel-correctness on one given instance. Works
     for any query, including CQ¬. *)
 
-val ucq_on_instance :
-  Ast.t list -> Policy.t -> Instance.t -> (unit, instance_verdict) result
-
 val decide : Ast.t -> Policy.t -> (unit, Saturation.violation) result
 (** The PC problem for CQs (with inequalities), decided through
     Condition (PC1).

@@ -12,9 +12,7 @@ type term =
   | Var of string
   | Const of Value.t
 
-val term_compare : term -> term -> int
 val term_equal : term -> term -> bool
-val pp_term : term Fmt.t
 
 type atom = {
   rel : string;
@@ -25,7 +23,6 @@ val atom : string -> term list -> atom
 val atom_vars : atom -> string list
 (** Variables of an atom, in order of occurrence (with duplicates). *)
 
-val atom_compare : atom -> atom -> int
 val atom_equal : atom -> atom -> bool
 val pp_atom : atom Fmt.t
 

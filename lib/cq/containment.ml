@@ -42,8 +42,6 @@ let equivalent q1 q2 = contained q1 q2 && contained q2 q1
 let ucq_contained qs1 qs2 =
   List.for_all (fun q1 -> List.exists (fun q2 -> contained q1 q2) qs2) qs1
 
-let ucq_equivalent qs1 qs2 = ucq_contained qs1 qs2 && ucq_contained qs2 qs1
-
 (* Core computation: repeatedly drop a body atom when the smaller query
    remains contained in the original (the reverse containment is
    automatic because dropping atoms relaxes the query). *)

@@ -9,12 +9,6 @@
 
 open Lamp_relational
 
-val canonical_instance : Ast.t -> Instance.t
-(** The canonical database of the query: its body atoms with every
-    variable frozen to a fresh constant. *)
-
-val canonical_head : Ast.t -> Fact.t
-
 val contained : Ast.t -> Ast.t -> bool
 (** [contained q1 q2] decides [q1 ⊆ q2] (NP-complete in query size).
     @raise Invalid_argument unless both queries are positive CQs. *)
@@ -25,8 +19,6 @@ val ucq_contained : Ast.t list -> Ast.t list -> bool
 (** UCQ containment: every disjunct of the left side is contained in some
     disjunct of the right side (sound and complete for unions of positive
     CQs). *)
-
-val ucq_equivalent : Ast.t list -> Ast.t list -> bool
 
 val minimize : Ast.t -> Ast.t
 (** The core of the query: drops body atoms while the query stays

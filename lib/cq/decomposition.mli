@@ -45,5 +45,4 @@ val min_fill : Ast.t -> t list
     valid (the test suite checks this by property); bag width is
     heuristic, not optimal. *)
 
-val pp_bag : bag Fmt.t
 val pp : t Fmt.t

@@ -11,7 +11,7 @@ open Lamp_relational
    join of {!Wcoj}, which avoids the intermediate-result blowup on
    cyclic queries. Both run on the same interned [Plan.Db] indexes and
    produce identical instances — the property suite checks them against
-   each other and against {!Generic_join}. *)
+   each other and against the test oracle's value-level generic join. *)
 type strategy =
   | Binary
   | Wcoj

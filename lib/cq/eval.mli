@@ -15,8 +15,8 @@ open Lamp_relational
     worst-case-optimal join of {!Wcoj}, bounded by the AGM bound on
     cyclic queries. Both run over the same interned {!Plan.Db} column
     indexes and agree bit-for-bit on every query and instance (checked
-    by the randomized property suite, with {!Generic_join} as the
-    value-level oracle). *)
+    by the randomized property suite, with the test oracle's
+    value-level generic join as a third opinion). *)
 type strategy =
   | Binary
   | Wcoj

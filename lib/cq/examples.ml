@@ -17,8 +17,6 @@ let triangles_distinct =
 
 let open_triangle = Parser.query "H(x,y,z) <- E(x,y), E(y,z), !E(z,x)"
 
-let two_path = Parser.query "H(x,z) <- E(x,y), E(y,z)"
-
 let full_triangle_e = Parser.query "H(x,y,z) <- E(x,y), E(y,z), E(z,x)"
 
 let q_four_cycle =

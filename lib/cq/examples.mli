@@ -37,9 +37,6 @@ val open_triangle : Ast.t
 (** Example 5.1(2): open triangles [H(x,y,z) ← E(x,y), E(y,z), ¬E(z,x)]
     — the paper's non-monotone running example. *)
 
-val two_path : Ast.t
-(** [H(x,z) ← E(x,y), E(y,z)]. *)
-
 val full_triangle_e : Ast.t
 (** Triangle query over a single edge relation, without inequalities. *)
 

@@ -69,12 +69,6 @@ type join_tree = {
 let rec join_tree_atoms t =
   t.atom :: List.concat_map join_tree_atoms t.children
 
-let rec join_tree_size t =
-  1 + List.fold_left (fun acc c -> acc + join_tree_size c) 0 t.children
-
-let rec join_tree_depth t =
-  1 + List.fold_left (fun acc c -> max acc (join_tree_depth c)) 0 t.children
-
 (* GYO: repeatedly find an "ear" — an edge e with a witness edge w such
    that every vertex of e shared with the rest of the hypergraph also
    lies in w — remove the ear and attach it below the witness. A

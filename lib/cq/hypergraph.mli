@@ -8,13 +8,6 @@
 
 module Sset : Set.S with type elt = string
 
-type t = {
-  vertices : string list;
-  edges : (Ast.atom * Sset.t) list;
-}
-
-val of_query : Ast.t -> t
-
 val tau_star : Ast.t -> float
 (** Optimal fractional edge packing value τ* of the query's hypergraph.
     The skew-free one-round load bound is [m / p**(1/tau)]; e.g. 3/2 for
@@ -35,8 +28,6 @@ type join_tree = {
 }
 
 val join_tree_atoms : join_tree -> Ast.atom list
-val join_tree_size : join_tree -> int
-val join_tree_depth : join_tree -> int
 
 val gyo : Ast.t -> join_tree list option
 (** GYO ear removal. Returns a join forest (one tree per connected

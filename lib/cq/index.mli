@@ -1,6 +1,6 @@
 (** Lazy per-column hash indexes over an instance, used by the
-    value-level evaluators ({!Generic_join}, {!Scale}) to probe
-    candidate tuples for partially bound atoms. *)
+    value-level evaluators ({!Scale}, and the test oracle's generic
+    join) to probe candidate tuples for partially bound atoms. *)
 
 open Lamp_relational
 

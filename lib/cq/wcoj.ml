@@ -84,7 +84,6 @@ type t = {
 
 let atom_count t = t.n_atoms
 let head_rel t = t.head_rel
-let var_order t = Array.to_list t.vars
 
 (* ------------------------------------------------------------------ *)
 (* Variable order                                                      *)

@@ -14,7 +14,7 @@
     flat-bucket column indexes of {!Plan.Db} that the binary-join
     evaluator probes — no second index structure is materialized, and
     ranges independent of earlier variables are computed once per fold.
-    {!Generic_join} is the value-level oracle for this module:
+    The test oracle's value-level generic join checks this module:
     [Wcoj]-backed evaluation agrees with it (and with {!Eval.eval})
     bit-for-bit, which the randomized property suite checks. *)
 
@@ -31,9 +31,6 @@ val make : ?counts:(string -> int) -> ?order:string list -> Ast.t -> t
 
 val atom_count : t -> int
 val head_rel : t -> string
-
-val var_order : t -> string list
-(** The elimination order the plan was compiled for. *)
 
 val fold : t -> Plan.Db.t -> (int array -> 'a -> 'a) -> 'a -> 'a
 (** Folds over all satisfying assignments; the register array (value

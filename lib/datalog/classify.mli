@@ -29,24 +29,15 @@ type refutation = {
 
 val check_pair : query -> Instance.t * Instance.t -> (unit, refutation) result
 
-val monotone_on :
-  query -> (Instance.t * Instance.t) list -> (unit, refutation) result
-(** Tests [Q(I) ⊆ Q(I ∪ J)] over the supplied pairs. *)
-
-val distinct_monotone_on :
-  query -> (Instance.t * Instance.t) list -> (unit, refutation) result
-(** As {!monotone_on}, restricted to pairs where J is domain distinct
-    from I (Definition 5.5). *)
-
-val disjoint_monotone_on :
-  query -> (Instance.t * Instance.t) list -> (unit, refutation) result
-(** As {!monotone_on}, restricted to pairs where J is domain disjoint
-    from I (Definition 5.9). *)
-
 type verdict = {
   monotone : (unit, refutation) result;
+      (** [Q(I) ⊆ Q(I ∪ J)] over every supplied pair. *)
   distinct_monotone : (unit, refutation) result;
+      (** The same over the pairs where J is domain distinct from I
+          (Definition 5.5). *)
   disjoint_monotone : (unit, refutation) result;
+      (** The same over the pairs where J is domain disjoint from I
+          (Definition 5.9). *)
 }
 
 val classify : query -> pairs:(Instance.t * Instance.t) list -> verdict

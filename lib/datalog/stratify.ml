@@ -58,6 +58,3 @@ let layers program =
         (fun r -> get (Ast.head r).Ast.rel = level)
         (Program.rules program))
   |> List.filter (fun rules -> rules <> [])
-
-let stratum_of program pred =
-  Smap.find_opt pred (strata program)

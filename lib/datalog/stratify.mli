@@ -18,5 +18,3 @@ val layers : Program.t -> Program.rule list list
 (** The program's rules grouped by head stratum, lowest first, empty
     layers removed.
     @raise Not_stratifiable on a negative cycle. *)
-
-val stratum_of : Program.t -> string -> int option

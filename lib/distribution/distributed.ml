@@ -14,12 +14,6 @@ let eval_ucq queries policy instance =
         (Eval.eval_ucq queries (Policy.loc_inst policy instance node)))
     Instance.empty (Policy.nodes policy)
 
-let local_results query policy instance =
-  List.map
-    (fun node ->
-      (node, Eval.eval query (Policy.loc_inst policy instance node)))
-    (Policy.nodes policy)
-
 let max_load policy instance =
   List.fold_left
     (fun acc node ->

@@ -13,9 +13,6 @@ val eval : Ast.t -> Policy.t -> Instance.t -> Instance.t
 
 val eval_ucq : Ast.t list -> Policy.t -> Instance.t -> Instance.t
 
-val local_results : Ast.t -> Policy.t -> Instance.t -> (Node.t * Instance.t) list
-(** Per-node local results, before the union. *)
-
 val max_load : Policy.t -> Instance.t -> int
 (** Largest local instance over the network — the quantity the MPC load
     bounds of Section 3 are about. *)

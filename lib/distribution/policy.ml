@@ -71,9 +71,29 @@ let explicit ?universe ~name assignments =
   in
   make ~kind:Explicit ~universe ~name ~nodes responsible
 
+let bucket_of_key ~seed ~buckets key =
+  if buckets < 1 then invalid_arg "Policy.hash_values: buckets < 1";
+  Hashtbl.seeded_hash (seed land max_int) key mod buckets
+
+(* Routing runs once per shipped fact, so neither case builds a list:
+   one value hashes its own string, and a tuple's strings wait on the
+   stack until the joined key is allocated. *)
 let hash_value ~seed ~buckets v =
-  if buckets < 1 then invalid_arg "Policy.hash_value: buckets < 1"
-  else Hashtbl.seeded_hash (seed land max_int) (Value.to_string v) mod buckets
+  bucket_of_key ~seed ~buckets (Value.to_string v)
+
+let hash_values ~seed ~buckets = function
+  | [ v ] -> hash_value ~seed ~buckets v
+  | vs ->
+    (* [v1 ^ "\000" ^ ... ^ vk], blitted into a NUL-filled buffer. *)
+    let rec join pos = function
+      | [] -> Bytes.make (max 0 (pos - 1)) '\000'
+      | v :: rest ->
+        let s = Value.to_string v in
+        let key = join (pos + String.length s + 1) rest in
+        Bytes.blit_string s 0 key pos (String.length s);
+        key
+    in
+    bucket_of_key ~seed ~buckets (Bytes.unsafe_to_string (join 0 vs))
 
 type unlisted =
   | Drop

@@ -61,8 +61,15 @@ val explicit :
     explicitly. The universe defaults to the values occurring in the
     listed facts. *)
 
+val hash_values : seed:int -> buckets:int -> Value.t list -> int
+(** The seeded hash every route in lamp uses: the bucket in
+    [\[0, buckets)] of the values' strings joined by NUL bytes. Hash
+    and HyperCube policies hash one value; GYM's ops, MapReduce keys
+    and the cascade's second round hash a tuple of them.
+    @raise Invalid_argument when [buckets < 1]. *)
+
 val hash_value : seed:int -> buckets:int -> Value.t -> int
-(** The seeded hash family used by hash and HyperCube policies. *)
+(** [hash_value ~seed ~buckets v] is [hash_values ~seed ~buckets [v]]. *)
 
 type unlisted =
   | Drop  (** Relations without a listed column belong to no node. *)

@@ -110,7 +110,3 @@ val no_save_faults : save_faults
 val save : t -> job:string -> round:int -> save_faults
 (** The complete fault assignment for the checkpoint save of [round]
     by [job] — pure, identical for every call. *)
-
-val job_code : string -> int
-(** The stable integer coordinate a job name hashes to (pure, platform
-    independent); exposed so sibling tooling can reproduce draws. *)

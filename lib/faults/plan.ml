@@ -196,33 +196,31 @@ let inject t ~round ~phase ~task ~attempt =
          (Fmt.str "injected transient fault (round %d, %s, task %d, attempt %d)"
             round (phase_name phase) task attempt))
 
-let straggle_delay t ~round ~phase ~task =
+type straggler = {
+  stall : float;
+  wait : float;
+  backup : bool;
+}
+
+let on_time = { stall = 0.0; wait = 0.0; backup = false }
+
+let straggler t ~round ~phase ~task =
   match t with
-  | Off -> 0.0
+  | Off -> on_time
   | On { seed; spec } ->
-    if
-      spec.straggle > 0.0
-      && draw ~seed ~label:straggle_label round (phase_code phase) task
-         < spec.straggle
-    then
-      0.0001
-      +. 0.0009
-         *. draw ~seed ~label:straggle_len_label round (phase_code phase) task
-    else 0.0
-
-let straggle t ~round ~phase ~task =
-  let d = straggle_delay t ~round ~phase ~task in
-  if d > 0.0 then Unix.sleepf d
-
-let speculation_budget = function Off -> 0.0 | On { spec; _ } -> spec.speculate
-
-let speculation_tie t ~round ~phase ~task =
-  match t with
-  | Off -> `Primary
-  | On { seed; _ } ->
-    if draw ~seed ~label:tie_label round (phase_code phase) task < 0.5 then
-      `Primary
-    else `Backup
+    let draw label = draw ~seed ~label round (phase_code phase) task in
+    if spec.straggle > 0.0 && draw straggle_label < spec.straggle then begin
+      let stall = 0.0001 +. (0.0009 *. draw straggle_len_label) in
+      let budget = spec.speculate in
+      (* The backup copy starts once the budget has passed; when it
+         would finish with the primary, a seeded draw breaks the tie. *)
+      let backup =
+        budget > 0.0
+        && (stall > budget || (stall = budget && draw tie_label >= 0.5))
+      in
+      { stall; wait = (if backup then budget else stall); backup }
+    end
+    else on_time
 
 let kill_after = function Off -> None | On { spec; _ } -> spec.kill_after
 

@@ -34,7 +34,7 @@ type spec = {
       (** Speculation budget in seconds; 0 disables mitigation. A task
           whose straggler delay reaches the budget is re-executed as a
           deterministic backup copy after waiting only the budget — see
-          [Runtime.Executor.speculate]. *)
+          {!straggler}. *)
   kill_after : int option;
       (** Simulated process death: the supervised job raises
           [Jobs.Supervisor.Killed] right after persisting the
@@ -124,26 +124,25 @@ val inject : t -> round:int -> phase:phase -> task:int -> attempt:int -> unit
 (** Raises {!Transient} iff [attempt <= transient_failures] (attempts
     are 1-based). Call at the top of a retryable task body. *)
 
-val straggle : t -> round:int -> phase:phase -> task:int -> unit
-(** Sleeps 0.1–1 ms when the task is selected as a straggler. Perturbs
-    real parallel scheduling; never changes a result. *)
+type straggler = {
+  stall : float;  (** The drawn stall: 0.1–1 ms, 0 for a task on time. *)
+  wait : float;
+      (** What the task sleeps before it runs: its stall, or the
+          [speculate] budget when the backup copy wins. *)
+  backup : bool;
+      (** Whether a backup copy outran the stalled primary: the stall
+          exceeds a nonzero budget, or equals it and a seeded draw
+          breaks the tie for the backup. *)
+}
 
-val straggle_delay : t -> round:int -> phase:phase -> task:int -> float
-(** The delay {!straggle} would sleep, without sleeping — pure, so a
-    mitigating scheduler can compare it to its speculation budget
-    before deciding to wait or re-execute. 0 when the task is not a
-    straggler. *)
+val straggler : t -> round:int -> phase:phase -> task:int -> straggler
+(** The task's straggler verdict, a pure function of the plan and the
+    coordinates. A task straggles with probability [straggle]; with a
+    [speculate] budget its backup copy, the same pure body started once
+    the budget has passed, wins when the stall runs past it. The task's
+    result never depends on the verdict, only its wall clock does. *)
 
 (** {1 Job-level failures} *)
-
-val speculation_budget : t -> float
-(** The plan's [speculate] field (0 = speculation off). *)
-
-val speculation_tie : t -> round:int -> phase:phase -> task:int ->
-  [ `Primary | `Backup ]
-(** Seed-ordered tie-break between a straggling primary and its backup
-    copy when both would finish at the deadline — a pure draw, so seq
-    and pool backends pick the same winner. *)
 
 val kill_after : t -> int option
 (** The plan's [kill] field: simulated process death after this

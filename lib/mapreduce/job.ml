@@ -1,4 +1,5 @@
 open Lamp_relational
+open Lamp_distribution
 
 type key = Value.t list
 
@@ -43,11 +44,6 @@ let run program instance =
    phase. Keys are materialized as an extra column so a server can
    regroup what it received. *)
 
-let key_hash ~seed ~p (k : key) =
-  Hashtbl.seeded_hash (seed land max_int)
-    (String.concat "\000" (List.map Value.to_string k))
-  mod p
-
 (* A key-value pair in transit is encoded as a fact
    [__kv(arity_of_key, key..., rel_of_value, value...)]. *)
 let encode_pair (k, v) =
@@ -80,7 +76,8 @@ let run_job_mpc ?(seed = 0) ~p job cluster =
             (fun f acc ->
               List.fold_left
                 (fun acc (k, v) ->
-                  (key_hash ~seed ~p k, encode_pair (k, v)) :: acc)
+                  (Policy.hash_values ~seed ~buckets:p k, encode_pair (k, v))
+                  :: acc)
                 acc (job.map f))
             local []);
       compute =

@@ -30,10 +30,6 @@ val run : program -> Instance.t -> Instance.t
 (** Sequential semantics of a program: each job consumes the previous
     job's output. *)
 
-val run_job_mpc : ?seed:int -> p:int -> t -> Lamp_mpc.Cluster.t -> unit
-(** Executes one job as one MPC round on an existing cluster: reducers
-    are servers chosen by hashing the key. *)
-
 val run_mpc :
   ?seed:int -> p:int -> program -> Instance.t -> Instance.t * Lamp_mpc.Stats.t
 (** Runs a whole program on [p] servers and reports load statistics

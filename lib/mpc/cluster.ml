@@ -22,6 +22,9 @@ type round = {
 
 let check_p p = if p < 1 then invalid_arg "Cluster: p must be >= 1"
 
+(* Backup copies that outran a straggler, across every round run. *)
+let speculation_counter = Trace.counter "runtime.speculations"
+
 (* Round-robin partitioning: every server receives ⌈m/p⌉ or ⌊m/p⌋ facts,
    the model's "1/p-th of the data" assumption. *)
 let create ?(executor = Executor.sequential) ?(faults = Plan.none) ~p instance =
@@ -281,47 +284,33 @@ let run_round t round =
   let lost = Array.make t.p ([] : (int * Fact.t) list) in
   let dup_shipped = Array.make t.p 0 in
   let sent = if tracing then Array.make t.p 0 else [||] in
-  let budget = Plan.speculation_budget plan in
   let retry ~phase ~task body =
     Executor.with_retry ~max_attempts:Plan.max_attempts
       ~retryable:Plan.is_transient (fun ~attempt ->
         Plan.inject plan ~round:round_no ~phase ~task ~attempt;
-        let stall = Plan.straggle_delay plan ~round:round_no ~phase ~task in
-        if stall > 0.0 then begin
+        let v = Plan.straggler plan ~round:round_no ~phase ~task in
+        if v.stall > 0.0 then begin
           if tracing then
             Trace.sample ~cat:"fault" "fault.straggle_delay_ms"
-              (stall *. 1000.0);
-          if budget > 0.0 then begin
-            (* Straggler mitigation: wait at most the budget, then run
-               a backup copy of the (pure) task body. *)
-            let tie =
-              Plan.speculation_tie plan ~round:round_no ~phase ~task
-            in
-            let s =
-              Executor.speculate ~deadline:budget ~stall ~tie (fun ~cancel:_ ->
-                  body ())
-            in
-            (match s.Executor.winner with
-            | `Backup ->
-              if tracing then
-                Trace.instant ~cat:"fault"
-                  ~args:
-                    [
-                      ("round", Trace.Int round_no);
-                      ("phase", Trace.Str (Plan.phase_name phase));
-                      ("task", Trace.Int task);
-                      ("saved_ms", Trace.Float (s.Executor.saved *. 1000.0));
-                    ]
-                  "fault.speculate"
-            | `Primary -> ());
-            s.Executor.value
-          end
-          else begin
-            Unix.sleepf stall;
-            body ()
-          end
-        end
-        else body ())
+              (v.stall *. 1000.0);
+          (* A backup copy of the (pure) body that outran its straggling
+             primary is the same body run after the shorter wait. *)
+          if v.backup then begin
+            Trace.incr speculation_counter;
+            if tracing then
+              Trace.instant ~cat:"fault"
+                ~args:
+                  [
+                    ("round", Trace.Int round_no);
+                    ("phase", Trace.Str (Plan.phase_name phase));
+                    ("task", Trace.Int task);
+                    ("saved_ms", Trace.Float ((v.stall -. v.wait) *. 1000.0));
+                  ]
+                "fault.speculate"
+          end;
+          Unix.sleepf v.wait
+        end;
+        body ())
   in
   Trace.span ~cat:"mpc"
     ~args:[ ("round", Trace.Int round_no); ("p", Trace.Int t.p) ]
@@ -416,22 +405,12 @@ let run_round t round =
   if Sketch.is_enabled () then
     sketch_round t ~round_no ~received ~max_received ~total_received;
   let retries = ref 0 in
-  (* Like retries, speculations are counted analytically — both are
-     pure functions of (plan, round, phase, task), and the compute
-     phase (which may also speculate) has not run yet. A task is
-     outrun by its backup iff its stall reaches the budget (ties go by
-     the seeded draw), exactly the decision [retry] makes. *)
+  (* Like retries, speculations are counted analytically from the
+     same pure verdicts [retry] acts on: the compute phase (which may
+     also speculate) has not run yet. *)
   let speculations = ref 0 in
   let speculates phase task =
-    if budget <= 0.0 then false
-    else begin
-      let stall = Plan.straggle_delay plan ~round:round_no ~phase ~task in
-      stall > 0.0
-      && (stall > budget
-         || (stall = budget
-            && Plan.speculation_tie plan ~round:round_no ~phase ~task
-               = `Backup))
-    end
+    (Plan.straggler plan ~round:round_no ~phase ~task).backup
   in
   for s = 0 to t.p - 1 do
     let failures phase =

@@ -2,8 +2,6 @@ open Lamp_relational
 open Lamp_distribution
 open Lamp_cq
 
-let h ~seed ~p v = Policy.hash_value ~seed ~buckets:p v
-
 (* A server keeps its query-relevant facts for round 2 in its local
    state, renamed with this prefix, beside its round-1 answers: round 2
    routes the one and keeps the other, even when the head relation is
@@ -78,7 +76,10 @@ let cells ~seed ~p combo bnd =
       let v, share = combo.c_dims.(i) in
       match List.assoc_opt v bnd with
       | Some x ->
-        go (i + 1) ((lin * share) + h ~seed:(seed + 131 + i) ~p:share x) acc
+        let bucket =
+          Policy.hash_value ~seed:(seed + 131 + i) ~buckets:share x
+        in
+        go (i + 1) ((lin * share) + bucket) acc
       | None ->
         let r = ref acc in
         for c = 0 to share - 1 do

@@ -2,8 +2,6 @@ open Lamp_relational
 open Lamp_distribution
 open Lamp_cq
 
-let h ~seed ~p v = Policy.hash_value ~seed ~buckets:p v
-
 (* Example 3.1(2): the triangle by a cascade of two repartition joins.
    Round 1 joins R and S on y into K; round 2 joins K with T on the
    pair (x, z). T stays at its initial servers during round 1: it is
@@ -12,18 +10,15 @@ let cascade_triangle ?(seed = 0) ?executor ?faults ?job ~p instance =
   Lamp_obs.Sketch.set_context "cascade";
   let k_query = Parser.query "K(x,y,z) <- R(x,y), S(y,z)" in
   let finish = Parser.query "H(x,y,z) <- K(x,y,z), T(z,x)" in
+  (* The triangle's atoms are binary and K is ternary: a fact of
+     another arity matches no atom and goes nowhere, as under
+     HyperCube's policy. *)
   let plan ~p =
     let round1_route fact =
-      let args = Fact.args fact in
-      match Fact.rel fact with
-      | "R" -> [ h ~seed ~p args.(1) ]
-      | "S" -> [ h ~seed ~p args.(0) ]
+      match (Fact.rel fact, Fact.args fact) with
+      | "R", [| _; y |] | "S", [| y; _ |] ->
+        [ Policy.hash_value ~seed ~buckets:p y ]
       | _ -> []
-    in
-    let pair_hash args i j =
-      h ~seed:(seed + 7919) ~p
-        (Value.str
-           (Value.to_string args.(i) ^ "\000" ^ Value.to_string args.(j)))
     in
     ( [|
         {
@@ -37,10 +32,9 @@ let cascade_triangle ?(seed = 0) ?executor ?faults ?job ~p instance =
         {
           Cluster.communicate =
             Cluster.route_by (fun fact ->
-                let args = Fact.args fact in
-                match Fact.rel fact with
-                | "K" -> [ pair_hash args 0 2 ]
-                | "T" -> [ pair_hash args 1 0 ]
+                match (Fact.rel fact, Fact.args fact) with
+                | "K", [| x; _; z |] | "T", [| z; x |] ->
+                  [ Policy.hash_values ~seed:(seed + 7919) ~buckets:p [ x; z ] ]
                 | _ -> []);
           compute = Cluster.eval_query finish;
         };
@@ -98,10 +92,8 @@ let skew_resilient_triangle ?(seed = 0) ?threshold ?executor ?faults ?job ~p
         (Skew.heavy_hitters instance ~rel:"S" ~pos:0 ~threshold)
     in
     let is_heavy_fact f =
-      let args = Fact.args f in
-      match Fact.rel f with
-      | "R" -> Value.Set.mem args.(1) heavy
-      | "S" -> Value.Set.mem args.(0) heavy
+      match (Fact.rel f, Fact.args f) with
+      | "R", [| _; y |] | "S", [| y; _ |] -> Value.Set.mem y heavy
       | _ -> false
     in
     let shares, _ =
@@ -113,24 +105,21 @@ let skew_resilient_triangle ?(seed = 0) ?threshold ?executor ?faults ?job ~p
     let policy, _ =
       Policy.hypercube ~seed ~name:"light" ~query:triangle ~shares ()
     in
-    let hz = h ~seed:(seed + 104729) ~p in
+    let hz = Policy.hash_value ~seed:(seed + 104729) ~buckets:p in
     let rounds =
       [|
         {
           Cluster.communicate =
             Cluster.route_by (fun fact ->
-                let args = Fact.args fact in
-                if is_heavy_fact fact then
-                  match Fact.rel fact with
-                  | "R" -> [ h ~seed ~p args.(0) ]
-                  | "S" -> [ hz args.(1) ]
-                  | _ -> []
-                else
-                  let cells = Policy.responsible_nodes policy fact in
-                  (* The heavy plan additionally needs T(z,x) at h(x). *)
-                  if Fact.rel fact = "T" && not (Value.Set.is_empty heavy)
-                  then h ~seed ~p args.(1) :: cells
-                  else cells);
+                match (Fact.rel fact, Fact.args fact) with
+                | "R", [| x; _ |] when is_heavy_fact fact ->
+                  [ Policy.hash_value ~seed ~buckets:p x ]
+                | "S", [| _; z |] when is_heavy_fact fact -> [ hz z ]
+                (* The heavy plan additionally needs T(z,x) at h(x). *)
+                | "T", [| _; x |] when not (Value.Set.is_empty heavy) ->
+                  Policy.hash_value ~seed ~buckets:p x
+                  :: Policy.responsible_nodes policy fact
+                | _ -> Policy.responsible_nodes policy fact);
           compute =
             (fun _ ~received ~previous:_ ->
               (* Received heavy facts keep their original names; give
@@ -165,8 +154,8 @@ let skew_resilient_triangle ?(seed = 0) ?threshold ?executor ?faults ?job ~p
         {
           Cluster.communicate =
             Cluster.route_by (fun fact ->
-                match Fact.rel fact with
-                | "K" -> [ hz (Fact.args fact).(0) ]
+                match (Fact.rel fact, Fact.args fact) with
+                | "K", [| z; _; _ |] -> [ hz z ]
                 | _ -> []);
           compute =
             (fun _ ~received ~previous ->

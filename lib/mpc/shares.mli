@@ -22,18 +22,13 @@ val atom_replication : shares:(string * int) list -> Ast.atom -> int
 (** Number of copies of each tuple of the atom's relation: the product
     of the shares of the variables the atom does not mention. *)
 
-val communication_cost :
-  shares:(string * int) list -> sizes:(Ast.atom -> int) -> Ast.t -> float
-(** Afrati–Ullman's objective: Σ_atoms size(atom) · replication(atom). *)
-
-val predicted_max_load :
-  shares:(string * int) list -> sizes:(Ast.atom -> int) -> Ast.t -> float
-(** Skew-free expected per-server load: Σ_atoms size(atom) / Π_{v ∈ atom}
-    share(v). *)
-
 type objective =
-  | Total_communication  (** Afrati–Ullman Shares. *)
-  | Max_load  (** Beame–Koutris–Suciu HyperCube. *)
+  | Total_communication
+      (** Afrati–Ullman Shares: minimise Σ_atoms size(atom) ·
+          replication(atom). *)
+  | Max_load
+      (** Beame–Koutris–Suciu HyperCube: minimise the skew-free
+          per-server load Σ_atoms size(atom) / Π_{v ∈ atom} share(v). *)
 
 val optimize :
   ?objective:objective ->

@@ -1,4 +1,5 @@
 open Lamp_relational
+open Lamp_distribution
 open Lamp_cq
 
 (* Named-column relations: the working representation of the Yannakakis
@@ -360,10 +361,6 @@ let fragment plan ~fresh local k =
   if fresh then (atom_relation local plan.atoms.(k)).Rel.rows
   else Instance.tuples local plan.names.(k)
 
-let hash ~seed ~p key row =
-  let key = String.concat "\000" (List.map (fun j -> Value.to_string row.(j)) key) in
-  Hashtbl.seeded_hash (seed land max_int) key mod p
-
 let rounds plan ~p =
   Array.mapi
     (fun r step ->
@@ -380,7 +377,11 @@ let rounds plan ~p =
           (fun _ local ->
             let ship acc ~seed ~tag key k =
               Tuple.Set.fold
-                (fun row acc -> (hash ~seed ~p key row, Fact.make tag row) :: acc)
+                (fun row acc ->
+                  ( Policy.hash_values ~seed ~buckets:p
+                      (List.map (Array.get row) key),
+                    Fact.make tag row )
+                  :: acc)
                 (fragment plan ~fresh local k)
                 acc
             in

@@ -40,14 +40,6 @@ let zipf_sampler ~rng ~n ~s =
     in
     1 + search 0 (n - 1)
 
-let zipf_relation ?(rel = "R") ~rng ~size ~domain ~s () =
-  let sample = zipf_sampler ~rng ~n:domain ~s in
-  let rec add i acc =
-    if i >= size then acc
-    else add (i + 1) (Instance.add (Fact.of_ints rel [ sample (); sample () ]) acc)
-  in
-  add 0 Instance.empty
-
 let skewed_star ?(rel = "R") ~hub ~size ~offset () =
   let rec add i acc =
     if i >= size then acc

@@ -21,12 +21,6 @@ val matching : ?rel:string -> size:int -> offset:int -> unit -> Instance.t
 val zipf_sampler : rng:Random.State.t -> n:int -> s:float -> unit -> int
 (** Zipf(s) sampler over [1..n]; rank 1 is the heaviest hitter. *)
 
-val zipf_relation :
-  ?rel:string -> rng:Random.State.t -> size:int -> domain:int -> s:float ->
-  unit -> Instance.t
-(** Binary relation with both columns Zipf-distributed; [s] around 1.0
-    and beyond produces pronounced heavy hitters. *)
-
 val skewed_star :
   ?rel:string -> hub:int -> size:int -> offset:int -> unit -> Instance.t
 (** Worst-case skew: all facts share the join value [hub], i.e.

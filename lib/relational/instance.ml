@@ -99,7 +99,6 @@ let fold f t init =
 let iter f t = fold (fun fact () -> f fact) t ()
 let facts t = List.rev (fold (fun f acc -> f :: acc) t [])
 let fact_set t = fold Fact.Set.add t Fact.Set.empty
-let of_fact_set s = Fact.Set.fold add s empty
 
 let cardinal t = Smap.fold (fun _ ts acc -> acc + Tuple.Set.cardinal ts) t 0
 

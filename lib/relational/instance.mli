@@ -38,8 +38,6 @@ val relations : t -> string list
 val fold : (Fact.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Fact.t -> unit) -> t -> unit
 val facts : t -> Fact.t list
-val fact_set : t -> Fact.Set.t
-val of_fact_set : Fact.Set.t -> t
 
 val cardinal : t -> int
 (** Number of facts ([m] in the paper's load bounds). *)

@@ -36,13 +36,6 @@ let union t1 t2 =
           (Fmt.str "Schema.union: %s has arities %d and %d" name a1 a2))
     t1 t2
 
-let of_instance_facts facts =
-  List.fold_left
-    (fun t f ->
-      let name = Fact.rel f and arity = Fact.arity f in
-      add name ~arity t)
-    empty facts
-
 let pp ppf t =
   let pp_rel ppf (name, arity) = Fmt.pf ppf "%s/%d" name arity in
   Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any ", ") pp_rel) (Smap.bindings t)

@@ -22,9 +22,4 @@ val conforms : t -> Fact.t -> bool
 val union : t -> t -> t
 (** @raise Invalid_argument on conflicting arities. *)
 
-val of_instance_facts : Fact.t list -> t
-(** Infers the schema of a list of facts.
-    @raise Invalid_argument if the same relation occurs with two
-    different arities. *)
-
 val pp : t Fmt.t

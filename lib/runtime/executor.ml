@@ -98,19 +98,7 @@ let map_reduce t ?chunk ~n ~map ~combine init =
     Array.fold_left combine init partials
   end
 
-module Cancel = struct
-  type t = bool Atomic.t
-
-  exception Cancelled
-
-  let create () = Atomic.make false
-  let cancel t = Atomic.set t true
-  let cancelled = Atomic.get
-  let guard t = if Atomic.get t then raise Cancelled
-end
-
 let retry_counter = Lamp_obs.Trace.counter "runtime.retries"
-let speculation_counter = Lamp_obs.Trace.counter "runtime.speculations"
 
 (* Draw label of the backoff jitter, outside the fault models' label
    spaces (see [Lamp_faults.Plan.draw]). *)
@@ -161,41 +149,6 @@ let with_retry ?(max_attempts = 4) ?(backoff = ignore) ?delay ?budget
       go (attempt + 1)
   in
   go 1
-
-type 'a speculation = {
-  value : 'a;
-  winner : [ `Primary | `Backup ];
-  waited : float;
-  saved : float;
-}
-
-let speculate ~deadline ~stall ~tie f =
-  if deadline < 0.0 || stall < 0.0 then
-    invalid_arg "Executor.speculate: negative duration";
-  let primary_wins =
-    stall < deadline || (stall = deadline && tie = `Primary)
-  in
-  if primary_wins then begin
-    let cancel = Cancel.create () in
-    if stall > 0.0 then Unix.sleepf stall;
-    { value = f ~cancel; winner = `Primary; waited = stall; saved = 0.0 }
-  end
-  else begin
-    (* The primary passed its deadline: cancel it and run the backup
-       copy. The work itself is deterministic, so the backup computes
-       the same value the primary would have — only sooner. *)
-    let primary = Cancel.create () in
-    Cancel.cancel primary;
-    let cancel = Cancel.create () in
-    if deadline > 0.0 then Unix.sleepf deadline;
-    Lamp_obs.Trace.incr speculation_counter;
-    {
-      value = f ~cancel;
-      winner = `Backup;
-      waited = deadline;
-      saved = stall -. deadline;
-    }
-  end
 
 type counters = {
   tasks : int;

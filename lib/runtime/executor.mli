@@ -42,25 +42,6 @@ val map_reduce :
     index order. [combine] must be associative for the result to be
     chunking-independent. *)
 
-(** {1 Cancellation} *)
-
-(** Cooperative cancellation tokens: one atomic flag per token. A
-    cancelled computation is not preempted — it observes the flag at
-    its next {!Cancel.guard} and unwinds with {!Cancel.Cancelled}.
-    Used by {!speculate} to abandon a straggling primary copy. *)
-module Cancel : sig
-  type t
-
-  exception Cancelled
-
-  val create : unit -> t
-  val cancel : t -> unit
-  val cancelled : t -> bool
-
-  val guard : t -> unit
-  (** @raise Cancelled iff the token has been cancelled. *)
-end
-
 (** {1 Retry} *)
 
 val exponential_backoff :
@@ -113,35 +94,6 @@ val with_retry :
     Deterministic as long as [f], [backoff], [delay] and [hint] are:
     no clocks or randomness are involved. Use inside a pool task to
     absorb transient faults without poisoning the batch. *)
-
-(** {1 Speculative execution} *)
-
-type 'a speculation = {
-  value : 'a;
-  winner : [ `Primary | `Backup ];
-  waited : float;  (** seconds actually spent stalled *)
-  saved : float;  (** stall time the backup avoided (0 on [`Primary]) *)
-}
-
-val speculate :
-  deadline:float ->
-  stall:float ->
-  tie:[ `Primary | `Backup ] ->
-  (cancel:Cancel.t -> 'a) ->
-  'a speculation
-(** Deterministic straggler mitigation. The primary copy of a task is
-    known (from the fault plan) to stall for [stall] seconds; the
-    scheduler is only willing to wait [deadline]. If the primary beats
-    the deadline ([stall < deadline], or equality with [tie =
-    `Primary]) it runs after its stall, as without mitigation.
-    Otherwise the primary's cancellation token is cancelled and a
-    backup copy runs after waiting only [deadline] — because the task
-    body is pure, the backup returns the value the primary would have,
-    [stall - deadline] seconds sooner. The winner is decided by
-    comparison and the seed-ordered [tie], never by racing wall
-    clocks, so seq and pool backends agree bit-for-bit. Backup wins
-    bump the ["runtime.speculations"] trace counter.
-    @raise Invalid_argument on a negative duration. *)
 
 type counters = {
   tasks : int;  (** tasks executed since the executor was created *)

@@ -36,10 +36,6 @@ exception
 (** The transition budget ran out before quiescence — either the budget
     is too small for the input, or the program genuinely diverges. *)
 
-val heartbeat_sweep : Network.t -> bool
-(** Heartbeats every node once; true when any memory, output, or buffer
-    changed. *)
-
 val drain :
   ?schedule:schedule -> ?max_transitions:int -> Network.t -> Instance.t
 (** Runs the network to quiescence and returns the union of outputs —

@@ -1,5 +1,6 @@
 open Lamp_relational
 open Lamp_cq
+module Generic_join = Lamp_oracle.Generic_join
 
 let instance = Alcotest.testable Instance.pp Instance.equal
 let query = Alcotest.testable Ast.pp Ast.equal

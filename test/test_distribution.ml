@@ -119,6 +119,36 @@ let test_hash_policy_join_correct () =
   Alcotest.check instance "join" (Eval.eval Examples.q1_join i)
     (Distributed.eval Examples.q1_join p i)
 
+(* Every route in lamp hashes through [Policy.hash_values], so these
+   pinned buckets guard every pinned load and Stats.t digest: a change
+   to the rule fails here first. *)
+let test_hash_values_pinned () =
+  let v = Value.int and s = Value.str in
+  List.iter
+    (fun (seed, buckets, vs, bucket) ->
+      Alcotest.(check int)
+        (Fmt.str "seed %d, %d buckets, [%s]" seed buckets
+           (String.concat "; " (List.map Value.to_string vs)))
+        bucket
+        (Policy.hash_values ~seed ~buckets vs);
+      match vs with
+      | [ x ] ->
+        Alcotest.(check int) "hash_value is the one-value case" bucket
+          (Policy.hash_value ~seed ~buckets x)
+      | _ -> ())
+    [
+      (0, 8, [ v 42 ], 1);
+      (-1, 16, [ v 10 ], 11);
+      (5, 3, [ s "a" ], 0);
+      (7, 27, [ s "a"; v 1 ], 24);
+      (7919, 64, [ v 1; v 2 ], 45);
+      (2000, 5, [ v 3; s "x"; v 5 ], 2);
+      (0, 10, [], 0);
+    ];
+  Alcotest.check_raises "no buckets"
+    (Invalid_argument "Policy.hash_values: buckets < 1") (fun () ->
+      ignore (Policy.hash_values ~seed:0 ~buckets:0 [ v 1 ]))
+
 (* ------------------------------------------------------------------ *)
 (* HyperCube policy                                                    *)
 
@@ -429,6 +459,7 @@ let () =
           Alcotest.test_case "partition" `Quick test_hash_policy_partition;
           Alcotest.test_case "unlisted" `Quick test_hash_policy_unlisted;
           Alcotest.test_case "join correct" `Quick test_hash_policy_join_correct;
+          Alcotest.test_case "hash_values pinned" `Quick test_hash_values_pinned;
         ] );
       ( "hypercube",
         [

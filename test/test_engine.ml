@@ -10,6 +10,7 @@ open Lamp_cq
 module Dl = Lamp_datalog
 module Cq_reference = Lamp_oracle.Cq_reference
 module Datalog_reference = Lamp_oracle.Datalog_reference
+module Generic_join = Lamp_oracle.Generic_join
 
 let instance = Alcotest.testable Instance.pp Instance.equal
 let parse = Parser.query

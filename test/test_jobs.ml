@@ -1063,29 +1063,42 @@ let test_rebalance_pool_identical () =
 (* ------------------------------------------------------------------ *)
 (* Speculative straggler re-execution                                  *)
 
+(* The straggler verdict, case by case. Every task straggles
+   (straggle = 1, stalls of 0.1–1 ms); the budget decides who wins. *)
 let test_speculate_primitive () =
-  let calls = ref 0 in
-  let body ~cancel:_ =
-    incr calls;
-    42
+  let verdict ~speculate task =
+    Plan.straggler
+      (Plan.make ~seed:7 { Plan.zero with straggle = 1.0; speculate })
+      ~round:1 ~phase:Plan.Compute ~task
   in
-  let s = Executor.speculate ~deadline:0.002 ~stall:0.001 ~tie:`Backup body in
-  Alcotest.(check bool) "primary beats the deadline" true
-    (s.Executor.winner = `Primary);
-  Alcotest.(check int) "value" 42 s.Executor.value;
-  Alcotest.(check bool) "nothing saved on primary" true
-    (s.Executor.saved = 0.0);
-  let s = Executor.speculate ~deadline:0.001 ~stall:0.003 ~tie:`Primary body in
-  Alcotest.(check bool) "straggler loses to the backup" true
-    (s.Executor.winner = `Backup);
-  Alcotest.(check int) "backup value" 42 s.Executor.value;
-  Alcotest.(check bool) "saved = stall - deadline" true
-    (abs_float (s.Executor.saved -. 0.002) < 1e-9);
-  let tie d = Executor.speculate ~deadline:0.001 ~stall:0.001 ~tie:d body in
-  Alcotest.(check bool) "tie to primary" true
-    ((tie `Primary).Executor.winner = `Primary);
-  Alcotest.(check bool) "tie to backup" true
-    ((tie `Backup).Executor.winner = `Backup)
+  let v = verdict ~speculate:0.002 0 in
+  Alcotest.(check bool) "primary beats the deadline" false v.Plan.backup;
+  Alcotest.(check bool) "stall drawn" true
+    (v.Plan.stall >= 0.0001 && v.Plan.stall <= 0.001);
+  Alcotest.(check bool) "primary waits its stall" true (v.Plan.wait = v.Plan.stall);
+  let v' = verdict ~speculate:0.00005 0 in
+  Alcotest.(check bool) "straggler loses to the backup" true v'.Plan.backup;
+  Alcotest.(check bool) "the budget does not move the stall" true
+    (v'.Plan.stall = v.Plan.stall);
+  Alcotest.(check bool) "backup waits the budget" true (v'.Plan.wait = 0.00005);
+  Alcotest.(check bool) "no budget, no backup" true
+    (verdict ~speculate:0.0 0 = v);
+  Alcotest.(check bool) "the same verdict every call" true
+    (verdict ~speculate:0.00005 0 = v');
+  (* A budget equal to a drawn stall: the seeded draw breaks the tie,
+     and over 32 tasks it goes both ways. *)
+  let tie task =
+    let stall = (verdict ~speculate:0.0 task).Plan.stall in
+    let v = verdict ~speculate:stall task in
+    Alcotest.(check bool) "a tie waits the stall" true (v.Plan.wait = stall);
+    v.Plan.backup
+  in
+  let ties = List.init 32 tie in
+  Alcotest.(check bool) "tie to primary" true (List.mem false ties);
+  Alcotest.(check bool) "tie to backup" true (List.mem true ties);
+  Alcotest.(check bool) "no plan, no straggler" true
+    (Plan.straggler Plan.none ~round:1 ~phase:Plan.Compute ~task:0
+    = { Plan.stall = 0.0; wait = 0.0; backup = false })
 
 let straggler_plan =
   Plan.make ~seed:7 { Plan.zero with straggle = 1.0; speculate = 0.0005 }

@@ -244,6 +244,20 @@ let test_skew_resilient_beats_one_round () =
     true
     (Stats.max_load stats2 < Stats.max_load stats1)
 
+(* A fact whose arity matches no triangle atom goes nowhere: both
+   multi-round plans answer what local evaluation does, with and
+   without heavy values. *)
+let test_multi_round_wrong_arity () =
+  let i = inst "R(1). T(1). R(1,2,3). R(1,2). R(4,2). S(2,3). T(3,1)." in
+  let expected = Eval.eval Examples.q2_triangle i in
+  let cascade, _ = Multi_round.cascade_triangle ~p:4 i in
+  Alcotest.check instance "cascade" expected cascade;
+  List.iter
+    (fun threshold ->
+      let skew, _, _ = Multi_round.skew_resilient_triangle ?threshold ~p:4 i in
+      Alcotest.check instance "skew-resilient" expected skew)
+    [ None; Some 1 ]
+
 (* ------------------------------------------------------------------ *)
 (* Yannakakis / GYM (E6)                                               *)
 
@@ -592,6 +606,8 @@ let () =
             test_skew_resilient_correct_skewed;
           Alcotest.test_case "beats one round" `Quick
             test_skew_resilient_beats_one_round;
+          Alcotest.test_case "facts of another arity" `Quick
+            test_multi_round_wrong_arity;
         ] );
       ( "yannakakis",
         [
